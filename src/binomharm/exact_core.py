@@ -218,6 +218,22 @@ class SurdQ5:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
+    def sign(self) -> int:
+        """Exact sign (-1, 0 or 1) of the real number a + b*sqrt5."""
+        sa = (self.a > 0) - (self.a < 0)
+        sb = (self.b > 0) - (self.b < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        # opposite signs: the larger of a^2 and 5 b^2 wins; they cannot
+        # tie because 5 is not a rational square
+        a, b = self.a, self.b
+        a2 = (a.numerator * b.denominator) ** 2
+        b2 = 5 * (b.numerator * a.denominator) ** 2
+        return sa if a2 > b2 else sb
+
+    def __abs__(self) -> "SurdQ5":
+        return -self if self.sign() < 0 else self
+
     def __repr__(self) -> str:
         return f"({self.a} + {self.b}*sqrt5)"
 

@@ -29,9 +29,9 @@ from .exact_core import (SurdQ5, alpha_power, catalan_number,
                          central_binomial, fib, harmonic, lucas)
 from .genfunc import (family_stream, gf_series_stream, gf_term,
                       substitution_point)
-from .series_engine import (AsymptoticTail, HarmonicStream, PSeriesTail,
-                            PureRatioStream, SignPattern, TailStrategy,
-                            TermStream, Thm24Stream, Thm24Tail, d_value)
+from .series_engine import (AsymptoticTail, HarmonicStream,
+                            PureRatioStream, SignPattern, Thm24Stream,
+                            Thm24Tail, d_value)
 from ._emtail import EmRecipe
 
 __all__ = [
@@ -491,7 +491,11 @@ _RECIPES = {
     "EQ36": _rec("EQ36", (0, 0, 1), (1, -2, -4, 8), 1, "1"),
     "THM24A": _rec("THM24A", (1,), (1, 3, 2), 1, "HD_HALF"),
     "THM24B": _rec("THM24B", (1,), (1, 5, 8, 4), 0, "HD_HALF"),
+    "THM25A": _rec("THM25A", (2, 4), (1, 2, 1), 2, "HD"),
     "THM25B": _rec("THM25B", (1,), (1, 1), 2, "H2N"),
+    "THM26": _rec("THM26", (0, 512, 512),
+                  (27, 36, -204, -288, 336, 576, 192), 0, "1"),
+    "THM27": _rec("THM27", (0, 0, 1), (1, -2, -4, 8), 2, "1"),
 }
 
 
@@ -551,7 +555,7 @@ def _stream_thm25a():
         seed=Fraction(3, 8),
         uratio=lambda n: Fraction((2 * n + 1) * (2 * n + 3),
                                   4 * (n + 2) ** 2),
-        kind="HD"), PSeriesTail(C=Fraction(9, 10), p=2))
+        kind="HD"), AsymptoticTail(_RECIPES["THM25A"]))
 
 
 def _stream_thm25b():
@@ -567,7 +571,7 @@ def _stream_thm26():
         seed=Fraction(1024, 675),
         ratio=lambda n: Fraction((n + 2) * (2 * n - 1) ** 2,
                                  n * (2 * n + 5) ** 2)),
-        PSeriesTail(C=Fraction(64, 3), p=4))
+        AsymptoticTail(_RECIPES["THM26"]))
 
 
 def _stream_thm27():
@@ -575,7 +579,7 @@ def _stream_thm27():
         seed=Fraction(1, 12),
         ratio=lambda n: Fraction((2 * n - 1) ** 2 * (2 * n + 1),
                                  4 * n ** 2 * (2 * n + 3))),
-        PSeriesTail(C=Fraction(1, 12), p=2))
+        AsymptoticTail(_RECIPES["THM27"]))
 
 
 # ---- term oracles computed from first principles ---------------------
@@ -914,7 +918,7 @@ def _entries() -> list:
         status=IdentityStatus.AS_PRINTED_OK,
         series_desc="sum Cat_n C(2n+2,n+1) (H_2n - H_n) / 16^n",
         rhs=Mul(Div(R(16), _PI), psi_tree()),
-        make_stream=_stream_thm25a, default_digits=6, max_terms=10 ** 7,
+        make_stream=_stream_thm25a, default_digits=15, max_terms=10 ** 7,
         term_oracle=_t_thm25a))
     e.append(IdentityEntry(
         id="THM25B", paper_eq="thm2.5b", family="catalan",
@@ -929,14 +933,14 @@ def _entries() -> list:
         series_desc="sum 1024 n / (3 (2n-1)^2 (2n+1) (2n+3)^2) "
                     "* C(2n,n)/C(2n+2,n+1)",
         rhs=_Z2,
-        make_stream=_stream_thm26, default_digits=8, max_terms=10 ** 4,
+        make_stream=_stream_thm26, default_digits=15, max_terms=10 ** 4,
         term_oracle=_t_thm26))
     e.append(IdentityEntry(
         id="THM27", paper_eq="thm2.7", family="binomial",
         status=IdentityStatus.AS_PRINTED_OK,
         series_desc="sum n^2 C(2n,n)^2 / (16^n (2n-1)^2 (2n+1))",
         rhs=Add(Div(_G, Mul(R(4), _PI)), Div(R(1), Mul(R(8), _PI))),
-        make_stream=_stream_thm27, default_digits=6, max_terms=10 ** 7,
+        make_stream=_stream_thm27, default_digits=15, max_terms=10 ** 7,
         term_oracle=_t_thm27))
     return e
 

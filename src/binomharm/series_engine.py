@@ -11,12 +11,12 @@ are evaluated in one of three modes:
 ``ball``   ball arithmetic term by term (surd-valued streams).
 
 A :class:`TailStrategy` turns a truncation point N into a rigorous
-enclosure of the discarded tail.  Four kinds exist: geometric envelope,
-p-series bound, alternating-series bound, and an Euler-Maclaurin
-asymptotic expansion (the only one able to certify 15+ digits for the
-n^{-3/2}-type series).  Declared hypotheses (ratio envelopes, p-series
-constants, alternation) are re-checked at runtime on the terms actually
-produced; a definite violation raises :class:`TailHypothesisViolation`.
+enclosure of the discarded tail.  Three kinds exist: a geometric
+envelope, an Euler-Maclaurin asymptotic expansion (the only one able to
+certify 15+ digits for the n^{-3/2}- and n^{-2}-type series), and the
+composite Euler-Maclaurin tail of Theorem 2.4.  Declared ratio
+envelopes are re-checked exactly at runtime on the terms actually
+produced; a violation raises :class:`TailHypothesisViolation`.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ __all__ = [
     "Thm24Stream",
     "TailStrategy",
     "GeometricTail",
-    "PSeriesTail",
-    "AlternatingTail",
     "AsymptoticTail",
     "Thm24Tail",
     "TailHypothesisViolation",
@@ -490,79 +488,11 @@ class GeometricTail(TailStrategy):
                     f"geometric envelope violated at n={n}: "
                     f"|t|={abs(t_cur)} > {env} * {abs(t_prev)}")
         elif isinstance(t_prev, SurdQ5) and isinstance(t_cur, SurdQ5):
-            # compare |t_cur| <= env |t_prev| via balls at a safe precision
-            a = Ball.from_surd(t_cur, 120)
-            b = Ball.from_surd(t_prev, 120)
-            allowed = _fraction_of(b.abs_hi()) * env
-            if _fraction_of(a.abs_lo()) > allowed:
+            # decide env |t_prev| - |t_cur| >= 0 exactly in Q(sqrt5)
+            if (abs(t_prev) * env - abs(t_cur)).sign() < 0:
                 raise TailHypothesisViolation(
-                    f"geometric envelope violated at n={n}")
-
-
-@dataclass
-class PSeriesTail(TailStrategy):
-    """|t_n| <= C / n^p for n >= n0; tail <= C / ((p-1) N^(p-1))."""
-
-    C: Fraction
-    p: int
-    n0: int = 1
-    kind = "pseries"
-
-    def tail_ball(self, stream, N, prec, t_last):
-        if N < self.n0:
-            return None
-        bound = self.C / ((self.p - 1) * Fraction(N) ** (self.p - 1))
-        return _signed_tail_ball(bound, stream.sign, prec)
-
-    def plan_terms(self, tol: Fraction, max_terms: int) -> Optional[int]:
-        # smallest N with C/((p-1) N^(p-1)) <= tol
-        target = self.C / ((self.p - 1) * tol)
-        n = max(self.n0, 1)
-        while Fraction(n) ** (self.p - 1) < target:
-            n *= 2
-            if n > 4 * max_terms:
-                return n  # let the caller notice the budget overrun
-        lo, hi = n // 2, n
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if Fraction(mid) ** (self.p - 1) < target:
-                lo = mid
-            else:
-                hi = mid
-        return max(hi, self.n0)
-
-    def check_step(self, n, t_prev, t_cur):
-        if n < self.n0:
-            return
-        if isinstance(t_cur, Fraction):
-            if abs(t_cur) * Fraction(n) ** self.p > self.C:
-                raise TailHypothesisViolation(
-                    f"p-series bound violated at n={n}: |t_n| n^p > C")
-        elif isinstance(t_cur, Ball):
-            if _fraction_of(t_cur.abs_lo()) * Fraction(n) ** self.p > self.C:
-                raise TailHypothesisViolation(
-                    f"p-series bound violated at n={n}")
-
-
-@dataclass
-class AlternatingTail(TailStrategy):
-    """Signs alternate and |t_n| decreases; |tail| <= |t_N|."""
-
-    kind = "alternating"
-
-    def tail_ball(self, stream, N, prec, t_last):
-        bound = _fraction_of(t_last.abs_hi())
-        return _signed_tail_ball(bound, SignPattern.UNKNOWN, prec)
-
-    def check_step(self, n, t_prev, t_cur):
-        if isinstance(t_prev, Fraction) and isinstance(t_cur, Fraction):
-            if t_prev * t_cur > 0:
-                raise TailHypothesisViolation(
-                    f"alternation violated at n={n}: consecutive terms "
-                    f"share a sign")
-            if abs(t_cur) > abs(t_prev):
-                raise TailHypothesisViolation(
-                    f"alternating decrease violated at n={n}")
+                    f"geometric envelope violated at n={n}: "
+                    f"|t| > {env} * |t_prev| in Q(sqrt5)")
 
 
 @dataclass

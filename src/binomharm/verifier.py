@@ -115,37 +115,43 @@ def verify_identity(entry: IdentityEntry, digits: Optional[int] = None,
     n_terms = 0
     mode = ""
     prec = 0
-    for bump in _LADDER:
-        prec = working_precision(digits) + bump
-        stream, strategy = entry.make_stream()
-        try:
-            run = sum_to_precision(stream, strategy, digits,
-                                   max_terms=max_terms, prec=prec)
-        except PrecisionNotReached as exc:
-            series_ball = exc.best
-            n_terms = exc.n_terms
-            mode = "budget-exhausted"
-            reason = (f"term budget {max_terms} exhausted before "
-                      f"{digits} digits")
-            if series_ball is None:
+    # any other fault inside one entry (a stream, a tail, a closed form)
+    # is contained here, so it cannot abort a whole verify_all run
+    try:
+        for bump in _LADDER:
+            prec = working_precision(digits) + bump
+            stream, strategy = entry.make_stream()
+            try:
+                run = sum_to_precision(stream, strategy, digits,
+                                       max_terms=max_terms, prec=prec)
+            except PrecisionNotReached as exc:
+                series_ball = exc.best
+                n_terms = exc.n_terms
+                mode = "budget-exhausted"
+                reason = (f"term budget {max_terms} exhausted before "
+                          f"{digits} digits")
+                if series_ball is None:
+                    break
+                rhs_ball = entry.rhs.value(prec)
+                _, agreed = _classify(series_ball, rhs_ball, digits)
                 break
+            except TailHypothesisViolation as exc:
+                reason = f"tail hypothesis violated: {exc}"
+                break
+            except DomainError as exc:
+                reason = f"domain error: {exc}"
+                break
+            series_ball = run.value
+            n_terms = run.n_terms
+            mode = run.mode
             rhs_ball = entry.rhs.value(prec)
-            _, agreed = _classify(series_ball, rhs_ball, digits)
-            break
-        except TailHypothesisViolation as exc:
-            reason = f"tail hypothesis violated: {exc}"
-            break
-        except DomainError as exc:
-            reason = f"domain error: {exc}"
-            break
-        series_ball = run.value
-        n_terms = run.n_terms
-        mode = run.mode
-        rhs_ball = entry.rhs.value(prec)
-        verdict, agreed = _classify(series_ball, rhs_ball, digits)
-        if verdict != "INCONCLUSIVE":
-            break
-        reason = "enclosures too wide to decide at this precision"
+            verdict, agreed = _classify(series_ball, rhs_ball, digits)
+            if verdict != "INCONCLUSIVE":
+                break
+            reason = "enclosures too wide to decide at this precision"
+    except Exception as exc:
+        verdict = "INCONCLUSIVE"
+        reason = f"{type(exc).__name__}: {exc}"
 
     report["verdict"] = verdict
     report["ok"] = verdict == entry.expected_verdict
@@ -179,8 +185,10 @@ def verify_all(ids: Optional[list] = None, digits: Optional[int] = None,
                max_terms: Optional[int] = None, workers: int = 1) -> dict:
     """Verify many entries; report order follows the registry order.
 
-    Worker processes receive only entry ids and rebuild the registry
-    themselves, so reports are identical whatever the worker count.
+    The serial path verifies the entries of the registry built here;
+    worker processes receive only entry ids and rebuild the registry
+    themselves.  Either way each entry is built by the same factory, so
+    reports are identical whatever the worker count.
     """
     reg = make_registry()
     if ids is None:
@@ -189,10 +197,11 @@ def verify_all(ids: Optional[list] = None, digits: Optional[int] = None,
         for entry_id in ids:
             if entry_id not in reg:
                 raise KeyError(f"unknown identity id {entry_id!r}")
-    jobs = [(entry_id, digits, max_terms, None) for entry_id in ids]
     if workers <= 1:
-        reports = [_verify_one(job) for job in jobs]
+        reports = [verify_identity(reg[entry_id], digits=digits,
+                                   max_terms=max_terms) for entry_id in ids]
     else:
+        jobs = [(entry_id, digits, max_terms, None) for entry_id in ids]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_one, jobs))
     ok = all(rep["ok"] for rep in reports)

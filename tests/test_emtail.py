@@ -6,12 +6,15 @@ import pytest
 
 from binomharm import _emtail, registry
 from binomharm.ball_arith import Ball
+from binomharm.exact_core import central_binomial
+from binomharm.series_engine import AsymptoticTail, d_value
 
 from _frozen import RHS_REFS, Z_REFS, ZL_REFS, assert_contains
 
 PREC = 160
 
-ASYMPTOTIC_IDS = ("EQ1", "EQ2", "EQ3", "EQ34", "EQ35", "EQ36", "THM25B")
+ASYMPTOTIC_IDS = ("EQ1", "EQ2", "EQ3", "EQ34", "EQ35", "EQ36", "THM25A",
+                  "THM25B", "THM26", "THM27")
 
 
 def interval(b):
@@ -58,6 +61,49 @@ def test_tail_requires_min_index():
     with pytest.raises(ValueError):
         _emtail.tail_enclosure(recipe, 31, PREC)
     _emtail.tail_enclosure(recipe, 32, PREC)  # boundary is allowed
+
+
+# ----------------------------------------------------------------------
+# recipes against the streams they describe
+#
+# An asymptotic tail has no runtime hypothesis check, so a recipe that
+# drifts from its stream would give an unsound tail.  Each recipe term
+# scale * (P/Q)(n) * b(n)^e * D(n) must equal the exact stream term.
+
+
+def _recipe_term(recipe, n):
+    b = Fraction(central_binomial(n), 4 ** n)
+    p = sum(c * n ** i for i, c in enumerate(recipe.P))
+    q = sum(c * n ** i for i, c in enumerate(recipe.Q))
+    d = Fraction(1) if recipe.dkind == "1" else d_value(recipe.dkind, n)
+    return recipe.scale * Fraction(p, q) * b ** recipe.e * d
+
+
+_REG = registry.make_registry()
+_EM_IDS = [eid for eid, entry in _REG.items()
+           if isinstance(entry.make_stream()[1], AsymptoticTail)]
+
+
+def test_em_ids_are_the_asymptotic_ids():
+    assert sorted(_EM_IDS) == sorted(ASYMPTOTIC_IDS)
+
+
+@pytest.mark.parametrize("eid", _EM_IDS)
+def test_recipe_terms_equal_stream_terms(eid):
+    stream, strat = _REG[eid].make_stream()
+    for n, t in stream.iter_exact():
+        if n > 256:
+            break
+        assert t == _recipe_term(strat.recipe, n), f"{eid} term {n}"
+
+
+def test_thm24_recipes_equal_stream_components():
+    stream, strat = _REG["THM24"].make_stream()
+    for n, u, d, w in stream.iter_exact_components():
+        if n > 256:
+            break
+        assert u * d == _recipe_term(strat.recipe_a, n), f"A term {n}"
+        assert u * d * w == _recipe_term(strat.recipe_b, n), f"B term {n}"
 
 
 # ----------------------------------------------------------------------

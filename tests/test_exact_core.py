@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomharm.ball_arith import Ball
 from binomharm.exact_core import (BINET_IDENTITY_IDS, MAX_INDEX,
                                   SequenceCache, SurdQ5, alpha_power,
                                   beta_power, catalan_number,
@@ -147,6 +148,25 @@ def test_surd_inverse_and_conjugate(x):
 def test_surd_conjugate_is_multiplicative(x, y):
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
     assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+
+
+@given(_surds)
+def test_surd_sign_matches_enclosure(x):
+    if x.is_zero():
+        assert x.sign() == 0
+        return
+    lo, hi = Ball.from_surd(x, 200).to_interval_fractions()
+    assert lo > 0 if x.sign() > 0 else hi < 0
+    assert abs(x).sign() == 1
+    assert abs(x) in (x, -x)
+
+
+def test_surd_sign_under_cancellation():
+    # beta^n = (L_n - F_n sqrt5)/2 cancels to |beta|^n ~ 0.618^n
+    for n in range(0, 151):
+        assert beta_power(n).sign() == (-1) ** n
+        assert alpha_power(n).sign() == 1
+        assert abs(beta_power(n)) == alpha_power(-n)  # |beta| = 1/alpha
 
 
 def test_surd_to_fraction_requires_rational():

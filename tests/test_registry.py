@@ -50,7 +50,7 @@ def test_expected_verdicts():
 
 def test_convergence_class_digit_policy():
     for eid in ("EQ1", "EQ2", "EQ3", "EQ34", "EQ35", "EQ36", "THM24",
-                "THM25B"):
+                "THM25A", "THM25B", "THM26", "THM27"):
         assert REG[eid].default_digits == 15
     for eid in ("EQ6", "EQ31", "EQ40", "FIB_H"):
         assert REG[eid].default_digits == 30

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from binomharm.ball_arith import Ball
 from binomharm.exact_core import harmonic
-from binomharm.series_engine import (AlternatingTail, GeometricTail,
-                                     HarmonicStream, PrecisionNotReached,
-                                     PSeriesTail, PureRatioStream,
+from binomharm.genfunc import family_stream
+from binomharm.registry import make_registry
+from binomharm.series_engine import (GeometricTail, HarmonicStream,
+                                     PrecisionNotReached, PureRatioStream,
                                      SignPattern, TailHypothesisViolation,
-                                     d_value, empirical_tail_check,
-                                     sum_to_precision)
+                                     _run_checks, d_value,
+                                     empirical_tail_check, sum_to_precision)
 
 PREC = 200
 
@@ -104,38 +105,6 @@ def test_geometric_tail_bounds_true_tail(q, N):
     assert lo <= tail_true <= hi
 
 
-@given(st.integers(min_value=2, max_value=5),
-       st.integers(min_value=4, max_value=10 ** 6))
-def test_pseries_tail_bounds_true_tail(p, N):
-    # t_n = 1/n^p; true tail below integral bound C/((p-1) N^(p-1))
-    strat = PSeriesTail(C=Fraction(1), p=p)
-    tail_true = sum(Fraction(1, n ** p) for n in range(N + 1, N + 50))
-    stream = PureRatioStream(seed=Fraction(1),
-                             ratio=lambda n: Fraction(n ** p, (n + 1) ** p))
-    tail = strat.tail_ball(stream, N, PREC, None)
-    lo, hi = interval(tail)
-    assert lo <= tail_true <= hi
-
-
-def test_pseries_plan_terms_is_minimal():
-    strat = PSeriesTail(C=Fraction(9, 10), p=2)
-    tol = Fraction(1, 10 ** 6)
-    n = strat.plan_terms(tol, 10 ** 7)
-    assert strat.C / ((strat.p - 1) * Fraction(n)) <= tol
-    assert strat.C / ((strat.p - 1) * Fraction(n - 1)) > tol
-
-
-def test_alternating_tail_bounds_true_tail():
-    q = Fraction(-2, 3)
-    s = geometric_stream(q)
-    for N in (5, 20, 57):
-        tail_true = q ** (N + 1) / (1 - q)
-        _, last = s.partial_sum(N, PREC)
-        tail = AlternatingTail().tail_ball(s, N, PREC, last)
-        lo, hi = interval(tail)
-        assert lo <= tail_true <= hi
-
-
 # ----------------------------------------------------------------------
 # sum_to_precision
 
@@ -150,23 +119,16 @@ def test_sum_reaches_requested_digits():
     assert res.n_terms >= 1
 
 
-def test_sum_alternating_series():
-    q = Fraction(-1, 2)
-    res = sum_to_precision(geometric_stream(q), AlternatingTail(), 30)
-    assert contains(res.value, q / (1 - q))
-
-
 def test_budget_exhaustion_raises_with_best_effort():
-    # 1/n^2 from a planned p-series bound needs ~10^15 terms for 15
-    # digits; a 1000-term budget must fail loudly but keep the partial
-    stream = PureRatioStream(seed=Fraction(1),
-                             ratio=lambda n: Fraction(n * n, (n + 1) ** 2))
-    strat = PSeriesTail(C=Fraction(1), p=2)
+    # the Euler-Maclaurin tail plans 2048 terms for EQ1; a 1000-term
+    # budget must fail loudly before summing anything
+    stream, strat = make_registry()["EQ1"].make_stream()
     with pytest.raises(PrecisionNotReached) as info:
         sum_to_precision(stream, strat, 15, max_terms=1000)
     err = info.value
     assert err.requested_digits == 15
-    assert err.best is None or err.best.rad_fraction() > 0
+    assert err.n_terms > 1000
+    assert err.best is None
 
 
 def test_hypothesis_violation_detected():
@@ -177,6 +139,22 @@ def test_hypothesis_violation_detected():
                         sup_env=lambda n: Fraction(1, 2))
     with pytest.raises(TailHypothesisViolation):
         sum_to_precision(s, bad, 30)
+
+
+def test_surd_envelope_replay_is_exact():
+    # the true first ratio |t_2/t_1| lies in Q(sqrt5); envelopes within
+    # 10^-80 of it on either side are decided exactly, far below what a
+    # 120-bit ball comparison can resolve
+    stream, sound = family_stream("FIB", 1, "H")
+    _run_checks(stream, sound, 160)
+    ratio = stream.term(2) / stream.term(1)
+    lo, hi = Ball.from_surd(ratio, 400).to_interval_fractions()
+    gap = Fraction(1, 10 ** 80)
+    above = GeometricTail(step_env=lambda n: hi + gap, sup_env=sound.sup_env)
+    below = GeometricTail(step_env=lambda n: lo - gap, sup_env=sound.sup_env)
+    _run_checks(stream, above, 2)
+    with pytest.raises(TailHypothesisViolation):
+        _run_checks(stream, below, 2)
 
 
 def test_checks_can_be_disabled():

@@ -1,9 +1,11 @@
 """Verdict classification, report shape, and run-to-run determinism."""
 
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
+from binomharm import registry
 from binomharm.ball_arith import Ball
 from binomharm.registry import build_template_entry, make_registry
 from binomharm.verifier import (DIGITS_ENV_VAR, agreed_digits,
@@ -158,3 +160,38 @@ def test_parallel_reports_match_serial():
 
     assert strip(serial) == strip(parallel)
     assert serial["summary"] == parallel["summary"]
+
+
+# ----------------------------------------------------------------------
+# fault containment: one broken entry must not cost the other reports
+
+
+def _broken_stream():
+    raise RuntimeError("stream factory exploded")
+
+
+@pytest.mark.parametrize("workers", [
+    1,
+    pytest.param(2, marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched factory reaches workers only through fork")),
+])
+def test_exception_in_one_entry_is_contained(monkeypatch, workers):
+    clean = verify_all(ids=SUBSET, digits=15, workers=1)
+    monkeypatch.setattr(registry, "_stream_eq34", _broken_stream)
+    out = verify_all(ids=SUBSET, digits=15, workers=workers)
+
+    def strip(rep):
+        return {k: v for k, v in rep.items() if k != "wall_time"}
+
+    for before, after in zip(clean["reports"], out["reports"]):
+        if after["id"] != "EQ34":
+            assert strip(after) == strip(before)
+            continue
+        assert after["verdict"] == "INCONCLUSIVE"
+        assert after["ok"] is False
+        assert after["reason"] == "RuntimeError: stream factory exploded"
+        assert list(after)[-2:] == ["reason", "wall_time"]
+    s = out["summary"]
+    assert (s["n_pass"], s["n_fail"], s["n_inconclusive"]) == (4, 1, 1)
+    assert s["ok"] is False
