@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import ceil, log2
 
 from mpmath.libmp import (
-    fnan,
     fone,
     from_int,
     from_man_exp,
@@ -42,7 +41,6 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_pi,
-    mpf_pos,
     mpf_shift,
     mpf_sqrt,
     mpf_sub,
@@ -571,6 +569,7 @@ def _zeta2_fixed(prec: int):
 
 
 def _fixed_to_ball(s: int, es: int, wp: int, prec: int) -> Ball:
+    """Ball of s 2^-wp whose error is at most es units of 2^-wp."""
     mid = from_man_exp(s, -wp, prec + 10, round_nearest)
     rad = _up(from_man_exp(es + 1, -wp), _eps(mid, prec + 10))
     return Ball(mid, rad, prec)

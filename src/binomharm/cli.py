@@ -29,7 +29,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -40,13 +40,11 @@ from .registry import (IdentityStatus, TEMPLATE_IDS, build_template_entry,
                        make_registry)
 from .series_engine import (PrecisionNotReached, TailHypothesisViolation,
                             sum_to_precision)
-from .verifier import agreed_digits, verify_all, verify_identity
+from .verifier import _env_digits, agreed_digits, verify_all, verify_identity
 
 __all__ = ["CliConfig", "run", "main"]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
-_ENV_DIGITS = "BINOMHARM_DIGITS"
 
 _EVAL_DIGITS = 30
 _CONST_DIGITS = 40
@@ -77,17 +75,6 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"expected an exact rational like 3/16, got {text!r}")
     return Fraction(text)
-
-
-def _env_digits() -> Optional[int]:
-    raw = os.environ.get(_ENV_DIGITS)
-    if raw is None:
-        return None
-    try:
-        val = int(raw)
-    except ValueError:
-        return None
-    return val if val >= 1 else None
 
 
 def _default_parallelism() -> int:
@@ -263,7 +250,7 @@ def _cmd_eval(cfg: CliConfig) -> int:
     if not needs_k(name) and cfg.k is not None:
         print(f"error: {name} does not take --k", file=sys.stderr)
         return 2
-    digits = cfg.digits or _env_digits() or _EVAL_DIGITS
+    digits = cfg.digits or _EVAL_DIGITS
     prec = working_precision(digits)
     try:
         closed = gf_value(name, cfg.x, prec, k=cfg.k)
@@ -331,7 +318,7 @@ def _cmd_eval(cfg: CliConfig) -> int:
 
 
 def _cmd_constants(cfg: CliConfig) -> int:
-    digits = cfg.digits or _env_digits() or _CONST_DIGITS
+    digits = cfg.digits or _CONST_DIGITS
     prec = working_precision(digits)
     rows = []
     for name in ConstantName:
@@ -448,6 +435,14 @@ def run(argv: Optional[list] = None) -> int:
     fields = {f: getattr(ns, f) for f in CliConfig.__dataclass_fields__
               if hasattr(ns, f)}
     cfg = CliConfig(**fields)
+    try:
+        # BINOMHARM_DIGITS is read here once; an explicit --digits wins
+        env_digits = _env_digits()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if cfg.digits is None:
+        cfg = replace(cfg, digits=env_digits)
     try:
         return _HANDLERS[cfg.command](cfg)
     except BrokenPipeError:

@@ -37,14 +37,7 @@ from typing import Optional
 
 from .ball_arith import Ball, ConstantName, DomainError, constant
 from .exact_core import SurdQ5, alpha_power, catalan_number, fib, harmonic, lucas
-from .series_engine import (
-    GeometricTail,
-    HarmonicStream,
-    PureRatioStream,
-    ShiftedStream,
-    SignPattern,
-    SurdHarmonicStream,
-)
+from .series_engine import GeometricTail, HarmonicStream, SignPattern
 
 __all__ = [
     "GF_NAMES",
@@ -304,6 +297,14 @@ def _sign_of(x: Fraction, alternating_possible: bool = True) -> SignPattern:
     return SignPattern.ALTERNATING if alternating_possible else SignPattern.NEGATIVE
 
 
+def _cb_stream(x, kind: str, sign: SignPattern) -> HarmonicStream:
+    """sum C(2n,n) x^n D_n for x in Q or Q(sqrt5)."""
+    return HarmonicStream(
+        seed=x * 2, point=x,
+        uratio=lambda n: Fraction((2 * n + 1) * (2 * n + 2), (n + 1) ** 2),
+        kind=kind, sign=sign)
+
+
 def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
     """(stream, tail strategy) for the series route at rational x != 0."""
     x = Fraction(x)
@@ -318,17 +319,13 @@ def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
             raise DomainError(f"series route for {name} needs |x| < 1/4")
         if name in _CB_KIND:
             kind = _CB_KIND[name]
-            stream = HarmonicStream(
-                seed=2 * x,
-                uratio=lambda n: x * Fraction((2 * n + 1) * (2 * n + 2),
-                                              (n + 1) ** 2),
-                kind=kind, sign=_sign_of(x))
+            stream = _cb_stream(x, kind, _sign_of(x))
             coef = lambda n: Fraction(2 * n + 1, 2 * (n + 1))
         else:
             kind = _CAT_KIND[name]
             stream = HarmonicStream(
-                seed=x,
-                uratio=lambda n: x * Fraction(2 * (2 * n + 1), n + 2),
+                seed=x, point=x,
+                uratio=lambda n: Fraction(2 * (2 * n + 1), n + 2),
                 kind=kind, sign=_sign_of(x))
             coef = lambda n: Fraction(2 * n + 1, 2 * (n + 2))
         henv = harmonic_step_envelope(kind)
@@ -353,14 +350,17 @@ def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
             seed, ratio = x / 3, (lambda n: x2 * Fraction(
                 (n + 1) * (2 * n - 1) ** 2, 2 * n ** 2 * (2 * n + 3)))
             sign = SignPattern.POSITIVE if x > 0 else SignPattern.NEGATIVE
-        stream = PureRatioStream(seed=seed, ratio=ratio, sign=sign)
+        stream = HarmonicStream(seed=seed, uratio=ratio, sign=sign)
         strategy = GeometricTail(
             step_env=lambda n, r=ratio: abs(r(n)),
             sup_env=lambda N: x2)
         return stream, strategy
 
     if name == "GF_SHIFTED":
-        stream = ShiftedStream(k=k, x=x)
+        stream = HarmonicStream(
+            seed=Fraction(1), point=x, first_index=0, sign=_sign_of(x),
+            uratio=lambda m: Fraction((2 * m + k + 1) * (2 * m + k + 2),
+                                      (m + 1) * (m + k + 1)))
         coef = lambda m: Fraction((2 * m + k + 1) * (2 * m + k + 2),
                                   4 * (m + 1) * (m + k + 1))
         # coef(m) >= 1 only while 2m <= (k+1)(k-2); past that it climbs
@@ -403,7 +403,7 @@ def substitution_point(family: str, r: int) -> SurdQ5:
 def family_stream(family: str, r: int, kind: str):
     """(stream, strategy) for a family series at its surd point."""
     x = substitution_point(family, r)
-    stream = SurdHarmonicStream(x=x, kind=kind, sign=SignPattern.POSITIVE)
+    stream = _cb_stream(x, kind, SignPattern.POSITIVE)
     # q0 >= 4|x| from the lower dyadic bound of c = 1/(4x)
     cb = Ball.from_surd(SurdQ5(Fraction(1), Fraction(0))
                         / (x * Fraction(4)), 120)

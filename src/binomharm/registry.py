@@ -20,18 +20,17 @@ how many tree nodes separate them from the corrected form.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .ball_arith import Ball, ConstantName, constant
-from .exact_core import (SurdQ5, alpha_power, catalan_number,
+from .exact_core import (SurdQ5, catalan_number,
                          central_binomial, fib, harmonic, lucas)
 from .genfunc import (family_stream, gf_series_stream, gf_term,
                       substitution_point)
-from .series_engine import (AsymptoticTail, HarmonicStream,
-                            PureRatioStream, SignPattern, Thm24Stream,
-                            Thm24Tail, d_value)
+from .series_engine import (AsymptoticTail, HarmonicStream, SignPattern,
+                            Thm24Stream, Thm24Tail, d_value)
 from ._emtail import EmRecipe
 
 __all__ = [
@@ -523,25 +522,25 @@ def _stream_eq3():
 
 
 def _stream_eq34():
-    return (PureRatioStream(
+    return (HarmonicStream(
         seed=Fraction(1, 30),
-        ratio=lambda n: Fraction((2 * n - 1) ** 2, 2 * n * (2 * n + 5))),
+        uratio=lambda n: Fraction((2 * n - 1) ** 2, 2 * n * (2 * n + 5))),
         AsymptoticTail(_RECIPES["EQ34"]))
 
 
 def _stream_eq35():
-    return (PureRatioStream(
+    return (HarmonicStream(
         seed=Fraction(-1, 30),
-        ratio=lambda n: Fraction((2 * n - 1) ** 2, 2 * n * (2 * n + 5)),
+        uratio=lambda n: Fraction((2 * n - 1) ** 2, 2 * n * (2 * n + 5)),
         sign=SignPattern.NEGATIVE),
         AsymptoticTail(_RECIPES["EQ35"]))
 
 
 def _stream_eq36():
-    return (PureRatioStream(
+    return (HarmonicStream(
         seed=Fraction(1, 6),
-        ratio=lambda n: Fraction((n + 1) ** 2 * (2 * n - 1) ** 2,
-                                 n ** 2 * (2 * n + 2) * (2 * n + 3))),
+        uratio=lambda n: Fraction((n + 1) ** 2 * (2 * n - 1) ** 2,
+                                  n ** 2 * (2 * n + 2) * (2 * n + 3))),
         AsymptoticTail(_RECIPES["EQ36"]))
 
 
@@ -567,18 +566,18 @@ def _stream_thm25b():
 
 
 def _stream_thm26():
-    return (PureRatioStream(
+    return (HarmonicStream(
         seed=Fraction(1024, 675),
-        ratio=lambda n: Fraction((n + 2) * (2 * n - 1) ** 2,
-                                 n * (2 * n + 5) ** 2)),
+        uratio=lambda n: Fraction((n + 2) * (2 * n - 1) ** 2,
+                                  n * (2 * n + 5) ** 2)),
         AsymptoticTail(_RECIPES["THM26"]))
 
 
 def _stream_thm27():
-    return (PureRatioStream(
+    return (HarmonicStream(
         seed=Fraction(1, 12),
-        ratio=lambda n: Fraction((2 * n - 1) ** 2 * (2 * n + 1),
-                                 4 * n ** 2 * (2 * n + 3))),
+        uratio=lambda n: Fraction((2 * n - 1) ** 2 * (2 * n + 1),
+                                  4 * n ** 2 * (2 * n + 3))),
         AsymptoticTail(_RECIPES["THM27"]))
 
 

@@ -2,13 +2,14 @@
 
 A :class:`TermStream` produces the terms of one series exactly, as
 ``Fraction`` or ``SurdQ5`` values, through simple first-order
-recurrences (term ratios, incremental harmonic updates).  Partial sums
-are evaluated in one of three modes:
-
-``exact``  exact rational / quadratic-field arithmetic (small N),
-``fixed``  fixed-point integers at scale 2^p with explicit ulp error
-           counters (the workhorse for long rational sums),
-``ball``   ball arithmetic term by term (surd-valued streams).
+recurrences (term ratios, incremental harmonic updates).  Two streams
+exist: :class:`HarmonicStream`, t_n = U_n D_n with U by an exact ratio
+times a point of Q or Q(sqrt5), and the composite :class:`Thm24Stream`
+built from two of them.  Exact iteration (``iter_exact``,
+``partial_sum_exact``) is the reference route for replays and tests;
+``partial_sum`` runs one fixed-point kernel for every stream: integers
+at scale 2^p with explicit ulp error counters, an irrational point held
+as one such integer.
 
 A :class:`TailStrategy` turns a truncation point N into a rigorous
 enclosure of the discarded tail.  Three kinds exist: a geometric
@@ -22,22 +23,20 @@ produced; a violation raises :class:`TailHypothesisViolation`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from mpmath.libmp import from_man_exp, fzero, mpf_cmp, to_rational
+from mpmath.libmp import fzero, mpf_cmp, to_rational
 
-from .ball_arith import Ball, ConstantName, constant, _eps, _up
+from .ball_arith import Ball, ConstantName, constant, _fixed_to_ball, _up
 from .exact_core import SurdQ5, harmonic
 
 __all__ = [
     "SignPattern",
     "TermStream",
-    "PureRatioStream",
     "HarmonicStream",
-    "SurdHarmonicStream",
-    "ShiftedStream",
     "Thm24Stream",
     "TailStrategy",
     "GeometricTail",
@@ -85,6 +84,7 @@ def _fraction_of(t) -> Fraction:
 
 def _d_first(kind: str) -> Fraction:
     return {
+        "1": Fraction(1),                 # the trivial factor
         "H": Fraction(1),                 # H_1
         "HD": Fraction(1, 2),             # H_2 - H_1
         "HDM": Fraction(0),               # H_1 - H_1
@@ -95,6 +95,8 @@ def _d_first(kind: str) -> Fraction:
 
 def _d_delta(kind: str, n: int) -> Fraction:
     """D_{n+1} - D_n for the harmonic factor of the given kind."""
+    if kind == "1":
+        return Fraction(0)
     if kind == "H":
         return Fraction(1, n + 1)
     if kind == "HD":
@@ -111,6 +113,8 @@ def _d_delta(kind: str, n: int) -> Fraction:
 
 def d_value(kind: str, n: int) -> Fraction:
     """Direct (cache-based) value of the harmonic factor, for crosschecks."""
+    if kind == "1":
+        return Fraction(1)
     if kind == "H":
         return harmonic(n)
     if kind == "HD":
@@ -133,7 +137,6 @@ class TermStream:
 
     first_index: int = 1
     sign: SignPattern = SignPattern.UNKNOWN
-    supports_fixed: bool = False
 
     def iter_exact(self) -> Iterator[tuple[int, object]]:
         raise NotImplementedError
@@ -157,177 +160,100 @@ class TermStream:
             total = Fraction(0)
         return total
 
-    def partial_sum_ball(self, N: int, prec: int) -> tuple[Ball, Ball]:
-        """(sum of terms up to N, last term) as balls."""
-        total = Ball.zero(prec)
-        last = Ball.zero(prec)
-        for n, t in self.iter_exact():
-            if n > N:
-                break
-            last = (Ball.from_surd(t, prec) if isinstance(t, SurdQ5)
-                    else Ball.from_fraction(t, prec))
-            total = total + last
-        return total, last
-
-    def partial_sum_fixed(self, N: int, prec: int) -> tuple[Ball, Ball]:
-        raise NotImplementedError(f"{type(self).__name__} has no fixed mode")
+    def _fixed_sum(self, N: int, prec: int) -> tuple[Ball, Ball]:
+        raise NotImplementedError
 
     def partial_sum(self, N: int, prec: int) -> tuple[Ball, Ball]:
-        """(partial sum, last term) in the preferred mode for this stream."""
-        if self.supports_fixed and N > 64:
-            return self.partial_sum_fixed(N, prec)
-        return self.partial_sum_ball(N, prec)
+        """(sum of terms up to N, last term) as balls, on the fixed-point
+        kernel."""
+        return self._fixed_sum(N, prec)
 
 
-@dataclass
-class PureRatioStream(TermStream):
-    """t_{first} = seed, t_{n+1} = t_n * ratio(n), all exactly rational."""
+def _to_fixed(v, p: int) -> tuple[int, int]:
+    """(m, e): m * 2^-p is within e * 2^-p of the exact value v.
 
-    seed: Fraction
-    ratio: Callable[[int], Fraction]
-    sign: SignPattern = SignPattern.POSITIVE
-    first_index: int = 1
-    supports_fixed: bool = True
-
-    def iter_exact(self):
-        t = Fraction(self.seed)
-        n = self.first_index
-        while True:
-            yield n, t
-            t = t * self.ratio(n)
-            n += 1
-
-    def partial_sum_fixed(self, N: int, prec: int):
-        p = prec + 40
-        v = (self.seed.numerator << p) // self.seed.denominator
-        ev = 1
-        s, es = 0, 0
-        n = self.first_index
-        t_last, et_last = v, ev
-        while n <= N:
-            s += v
-            es += ev
-            t_last, et_last = v, ev
-            r = self.ratio(n)
-            a, b = r.numerator, r.denominator
-            v = v * a // b
-            ev = (ev * abs(a) + b - 1) // b + 1
-            n += 1
-        return (_fixed_ball(s, es, p, prec), _fixed_ball(t_last, et_last, p, prec))
+    v is a Fraction or an element a + b sqrt5 of Q(sqrt5); the surd part
+    is taken exactly as floor(|B| sqrt5 2^p) = isqrt(5 B^2 4^p).
+    """
+    if isinstance(v, SurdQ5):
+        den = math.lcm(v.a.denominator, v.b.denominator)
+        A = v.a.numerator * (den // v.a.denominator)
+        B = v.b.numerator * (den // v.b.denominator)
+        r = math.isqrt(5 * B * B << 2 * p)
+        return ((A << p) + (r if B >= 0 else -r)) // den, 2
+    v = Fraction(v)
+    return (v.numerator << p) // v.denominator, 1
 
 
 @dataclass
 class HarmonicStream(TermStream):
-    """t_n = U_n * (D_n + g(n)); U by exact term ratio, D incremental.
+    """t_n = U_n * D_n; U by exact term ratio, D incremental.
 
-    U_{first} = seed, U_{n+1} = U_n * uratio(n); D_n is one of the
-    harmonic-difference kinds H, HD (H_{2n}-H_n), HDM (H_{2n-1}-H_n),
-    H2N (H_{2n}), HD_HALF (H_{2n}-H_n/2).
+    U_{first} = seed, U_{n+1} = U_n * point * uratio(n), with ``point``
+    an exact element of Q or Q(sqrt5).  D_n is one of the
+    harmonic-difference kinds 1 (D = 1), H, HD (H_{2n}-H_n),
+    HDM (H_{2n-1}-H_n), H2N (H_{2n}), HD_HALF (H_{2n}-H_n/2).
+
+    The fixed-point kernel keeps U and D as integers at scale 2^p with
+    ulp error counters.  A rational point is folded into the exact
+    rational ratio; an irrational point is one fixed-point integer
+    floor(point 2^p) with a 2-ulp error, so a Q(sqrt5) stream costs one
+    extra big-integer product per term.
     """
 
-    seed: Fraction
+    seed: Fraction | SurdQ5
     uratio: Callable[[int], Fraction]
-    kind: str
-    g: Optional[Callable[[int], Fraction]] = None
-    sign: SignPattern = SignPattern.POSITIVE
-    first_index: int = 1
-    supports_fixed: bool = True
-
-    def __post_init__(self):
-        if self.g is not None:
-            self.supports_fixed = False
-
-    def iter_exact(self):
-        u = Fraction(self.seed)
-        d = _d_first(self.kind)
-        n = self.first_index
-        while True:
-            dd = d + self.g(n) if self.g is not None else d
-            yield n, u * dd
-            u = u * self.uratio(n)
-            d = d + _d_delta(self.kind, n)
-            n += 1
-
-    def partial_sum_fixed(self, N: int, prec: int):
-        p = prec + 40
-        u = (self.seed.numerator << p) // self.seed.denominator
-        eu = 1
-        d0 = _d_first(self.kind)
-        d = (d0.numerator << p) // d0.denominator
-        ed = 1
-        s, es = 0, 0
-        t_last, et_last = 0, 0
-        n = self.first_index
-        while n <= N:
-            t = (u * d) >> p
-            et = ((abs(u) * ed + abs(d) * eu + eu * ed) >> p) + 2
-            s += t
-            es += et
-            t_last, et_last = t, et
-            r = self.uratio(n)
-            a, b = r.numerator, r.denominator
-            u = u * a // b
-            eu = (eu * abs(a) + b - 1) // b + 1
-            dd = _d_delta(self.kind, n)
-            d += (dd.numerator << p) // dd.denominator
-            ed += 1
-            n += 1
-        return (_fixed_ball(s, es, p, prec), _fixed_ball(t_last, et_last, p, prec))
-
-
-@dataclass
-class SurdHarmonicStream(TermStream):
-    """t_n = C(2n,n) * x^n * D_n with x in Q(sqrt5); exact surd terms."""
-
-    x: SurdQ5
-    kind: str                     # 'H' or 'HD'
+    kind: str = "1"
+    point: Fraction | SurdQ5 = Fraction(1)
     sign: SignPattern = SignPattern.POSITIVE
     first_index: int = 1
 
     def iter_exact(self):
-        u = self.x * 2            # C(2,1) x
+        u = self.seed if isinstance(self.seed, SurdQ5) else Fraction(self.seed)
         d = _d_first(self.kind)
         n = self.first_index
         while True:
             yield n, u * d
-            cr = Fraction((2 * n + 1) * (2 * n + 2), (n + 1) * (n + 1))
-            u = u * self.x * cr
+            u = u * (self.point * self.uratio(n))
             d = d + _d_delta(self.kind, n)
             n += 1
 
-
-@dataclass
-class ShiftedStream(TermStream):
-    """t_m = C(2m+k, m) x^m, starting at m = 0."""
-
-    k: int
-    x: Fraction
-    sign: SignPattern = SignPattern.UNKNOWN
-    first_index: int = 0
-    supports_fixed: bool = True
-
-    def __post_init__(self):
-        self.x = Fraction(self.x)
-        self.sign = (SignPattern.POSITIVE if self.x > 0
-                     else SignPattern.ALTERNATING)
-
-    def _ratio(self, m: int) -> Fraction:
-        k = self.k
-        return self.x * Fraction((2 * m + k + 1) * (2 * m + k + 2),
-                                 (m + 1) * (m + k + 1))
-
-    def iter_exact(self):
-        t = Fraction(1)
-        m = 0
-        while True:
-            yield m, t
-            t = t * self._ratio(m)
-            m += 1
-
-    def partial_sum_fixed(self, N: int, prec: int):
-        inner = PureRatioStream(seed=Fraction(1), ratio=self._ratio,
-                                sign=self.sign, first_index=0)
-        return inner.partial_sum_fixed(N, prec)
+    def _fixed_sum(self, N: int, prec: int):
+        p = prec + 40
+        u, eu = _to_fixed(self.seed, p)
+        if isinstance(self.point, SurdQ5):
+            x, ex = _to_fixed(self.point, p)
+            ratio = self.uratio
+        else:
+            x = None
+            point, uratio = Fraction(self.point), self.uratio
+            ratio = uratio if point == 1 else (lambda n: point * uratio(n))
+        trivial = self.kind == "1"
+        d, ed = _to_fixed(_d_first(self.kind), p)
+        s, es = 0, 0
+        t, et = 0, 0
+        n = self.first_index
+        while n <= N:
+            if trivial:
+                t, et = u, eu
+            else:
+                t = (u * d) >> p
+                et = ((abs(u) * ed + abs(d) * eu + eu * ed) >> p) + 2
+            s += t
+            es += et
+            if x is not None:
+                eu = ((abs(u) * ex + abs(x) * eu + eu * ex) >> p) + 2
+                u = (u * x) >> p
+            r = ratio(n)
+            a, b = r.numerator, r.denominator
+            u = u * a // b
+            eu = (eu * abs(a) + b - 1) // b + 1
+            if not trivial:
+                dd = _d_delta(self.kind, n)
+                d += (dd.numerator << p) // dd.denominator
+                ed += 1
+            n += 1
+        return _fixed_to_ball(s, es, p, prec), _fixed_to_ball(t, et, p, prec)
 
 
 @dataclass
@@ -335,16 +261,13 @@ class Thm24Stream(TermStream):
     """Composite stream t_n = U_n D_n (pi/2 - W_n).
 
     U_n = Cat(n) / (4^n (2n+1)), D_n = H_{2n} - H_n/2,
-    W_n = (2n)!! / (2n+1)!!.  Exact bookkeeping keeps the two rational
-    sums Sa = sum U D and Sb = sum U D W separate, so pi enters exactly
-    once, at combination time.
+    W_n = (2n)!! / (2n+1)!!.  The two rational sums Sa = sum U D and
+    Sb = sum U D W are kept apart as two harmonic streams, so pi enters
+    exactly once, at combination time.
     """
 
     sign: SignPattern = SignPattern.POSITIVE
     first_index: int = 1
-    supports_fixed: bool = True
-
-    U1 = Fraction(1, 12)
 
     @staticmethod
     def uratio(n: int) -> Fraction:
@@ -354,75 +277,27 @@ class Thm24Stream(TermStream):
     def wratio(n: int) -> Fraction:
         return Fraction(2 * n + 2, 2 * n + 3)
 
-    def iter_exact_components(self):
-        """Yields (n, U_n, D_n, W_n) exactly."""
-        u = self.U1
-        d = Fraction(1)
-        w = Fraction(2, 3)
-        n = 1
-        while True:
-            yield n, u, d, w
-            u = u * self.uratio(n)
-            d = d + Fraction(1, 2 * n + 1)
-            w = w * self.wratio(n)
-            n += 1
+    def __post_init__(self):
+        # U_1 = 1/12 and U_1 W_1 = 1/18
+        self.sa = HarmonicStream(seed=Fraction(1, 12), uratio=self.uratio,
+                                 kind="HD_HALF")
+        self.sb = HarmonicStream(
+            seed=Fraction(1, 18),
+            uratio=lambda n: self.uratio(n) * self.wratio(n),
+            kind="HD_HALF")
 
     def iter_exact(self):
         # Terms involve pi and are not exact; exact iteration yields the
         # rational pair (U D, U D W) packed as a tuple for internal use.
-        for n, u, d, w in self.iter_exact_components():
-            ud = u * d
-            yield n, (ud, ud * w)
+        for (n, a), (_, b) in zip(self.sa.iter_exact(), self.sb.iter_exact()):
+            yield n, (a, b)
 
-    def partial_pair_fixed(self, N: int, prec: int) -> tuple[Ball, Ball, Ball]:
-        """(Sa, Sb, last |UD| hi) with Sa = sum U D, Sb = sum U D W."""
-        p = prec + 40
-        u = (1 << p) // 12
-        eu = 1
-        d, ed = 1 << p, 1
-        w, ew = (2 << p) // 3, 1
-        sa, esa, sb, esb = 0, 0, 0, 0
-        t2_last, et2_last = 0, 0
-        n = 1
-        while n <= N:
-            t2 = (u * d) >> p
-            et2 = ((u * ed + d * eu + eu * ed) >> p) + 2
-            t3 = (t2 * w) >> p
-            et3 = ((abs(t2) * ew + w * et2 + et2 * ew) >> p) + 2
-            sa += t2
-            esa += et2
-            sb += t3
-            esb += et3
-            t2_last, et2_last = t2, et2
-            r = self.uratio(n)
-            u = u * r.numerator // r.denominator
-            eu = (eu * r.numerator + r.denominator - 1) // r.denominator + 1
-            d += (1 << p) // (2 * n + 1)
-            ed += 1
-            r = self.wratio(n)
-            w = w * r.numerator // r.denominator
-            ew = (ew * r.numerator + r.denominator - 1) // r.denominator + 1
-            n += 1
-        return (_fixed_ball(sa, esa, p, prec), _fixed_ball(sb, esb, p, prec),
-                _fixed_ball(t2_last, et2_last, p, prec))
-
-    def partial_sum_fixed(self, N: int, prec: int):
-        sa, sb, t2 = self.partial_pair_fixed(N, prec)
+    def _fixed_sum(self, N: int, prec: int):
+        sa, ud_last = self.sa._fixed_sum(N, prec)
+        sb, _ = self.sb._fixed_sum(N, prec)
         half_pi = constant(ConstantName.PI, prec).mul_2exp(-1)
-        total = half_pi * sa - sb
         # the last combined term; W_N < 1 so |t_N| <= U D * pi/2
-        last = t2 * half_pi
-        return total, last
-
-    def partial_sum_ball(self, N: int, prec: int):
-        return self.partial_sum_fixed(N, prec)
-
-
-def _fixed_ball(s: int, es: int, p: int, prec: int) -> Ball:
-    # from_man_exp with no rounding spec keeps the value exact
-    mid = from_man_exp(s, -p)
-    rad = _up(from_man_exp(es + 1, -p), _eps(mid, prec + 10))
-    return Ball(mid, rad, prec)
+        return half_pi * sa - sb, ud_last * half_pi
 
 
 # --------------------------------------------------------------------
@@ -556,7 +431,7 @@ class SumResult:
     n_terms: int
     prec: int
     tail: Ball
-    mode: str
+    mode: str = "fixed"
 
 
 def _tol_for(target_digits: int) -> Fraction:
@@ -565,7 +440,7 @@ def _tol_for(target_digits: int) -> Fraction:
 
 def _run_checks(stream, strategy, upto):
     """Replay the declared hypotheses against the first terms exactly."""
-    if not strategy.has_runtime_check or isinstance(stream, Thm24Stream):
+    if not strategy.has_runtime_check:
         return
     prev = None
     for n, t in stream.iter_exact():
@@ -607,7 +482,7 @@ def sum_to_precision(stream: TermStream, strategy: TailStrategy,
                 break
             N *= 4
         value = total + tail
-        return SumResult(value, N, prec, tail, _mode_name(stream, N))
+        return SumResult(value, N, prec, tail)
 
     # Geometric-style strategies: iterate with doubling checkpoints.
     if check_hypotheses:
@@ -619,7 +494,7 @@ def sum_to_precision(stream: TermStream, strategy: TailStrategy,
         tail = strategy.tail_ball(stream, N, prec, last)
         if tail is not None and mpf_cmp(tail.rad, half_tol_ball.mid) <= 0:
             value = total + tail
-            return SumResult(value, N, prec, tail, _mode_name(stream, N))
+            return SumResult(value, N, prec, tail)
         if N >= max_terms:
             best = None
             if tail is not None:
@@ -628,12 +503,6 @@ def sum_to_precision(stream: TermStream, strategy: TailStrategy,
                 f"tail bound still too large after {N} terms",
                 best=best, n_terms=N, requested_digits=target_digits)
         checkpoint *= 2
-
-
-def _mode_name(stream, N):
-    if stream.supports_fixed and N > 64:
-        return "fixed"
-    return "ball"
 
 
 def empirical_tail_check(stream: TermStream, strategy: TailStrategy,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ball_arith import Ball, DomainError, working_precision
-from .registry import IdentityEntry, build_template_entry, make_registry
+from .registry import IdentityEntry, make_registry
 from .series_engine import (PrecisionNotReached, TailHypothesisViolation,
                             sum_to_precision)
 
@@ -59,6 +59,7 @@ def agreed_digits(x: Ball, y: Ball) -> int:
 
 
 def _env_digits() -> Optional[int]:
+    """Digits from BINOMHARM_DIGITS; None when unset, ValueError on junk."""
     raw = os.environ.get(DIGITS_ENV_VAR)
     if not raw:
         return None
@@ -171,14 +172,20 @@ def verify_identity(entry: IdentityEntry, digits: Optional[int] = None,
     return report
 
 
+# filled by _init_worker in each pool worker; stays empty in the parent
+_worker_registry: dict = {}
+
+
+def _init_worker() -> None:
+    """Pool initializer: each worker process builds the registry once."""
+    _worker_registry.update(make_registry())
+
+
 def _verify_one(args: tuple) -> dict:
-    """Child-process worker: rebuilds the entry from its id."""
-    entry_id, digits, max_terms, r = args
-    if r is not None:
-        entry = build_template_entry(entry_id, r)
-    else:
-        entry = make_registry()[entry_id]
-    return verify_identity(entry, digits=digits, max_terms=max_terms)
+    """Child-process worker: looks the entry up by its id."""
+    entry_id, digits, max_terms = args
+    return verify_identity(_worker_registry[entry_id], digits=digits,
+                           max_terms=max_terms)
 
 
 def verify_all(ids: Optional[list] = None, digits: Optional[int] = None,
@@ -186,8 +193,8 @@ def verify_all(ids: Optional[list] = None, digits: Optional[int] = None,
     """Verify many entries; report order follows the registry order.
 
     The serial path verifies the entries of the registry built here;
-    worker processes receive only entry ids and rebuild the registry
-    themselves.  Either way each entry is built by the same factory, so
+    worker processes receive only entry ids and build the registry
+    once each.  Either way each entry is built by the same factory, so
     reports are identical whatever the worker count.
     """
     reg = make_registry()
@@ -201,8 +208,9 @@ def verify_all(ids: Optional[list] = None, digits: Optional[int] = None,
         reports = [verify_identity(reg[entry_id], digits=digits,
                                    max_terms=max_terms) for entry_id in ids]
     else:
-        jobs = [(entry_id, digits, max_terms, None) for entry_id in ids]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        jobs = [(entry_id, digits, max_terms) for entry_id in ids]
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_init_worker) as pool:
             reports = list(pool.map(_verify_one, jobs))
     ok = all(rep["ok"] for rep in reports)
     summary = {

@@ -209,6 +209,21 @@ def test_eval_explicit_digits_beat_env(monkeypatch, capsys):
     assert _json_out(capsys)["digits"] == 22
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--id", "EQ6"],
+    ["verify", "--all", "--workers", "1"],
+    ["eval", "--gf", "GF_HD", "--x", "1/8"],
+    ["constants"],
+], ids=["verify-id", "verify-all", "eval", "constants"])
+@pytest.mark.parametrize("raw", ["twelve", "0"])
+def test_bad_env_digits_is_a_usage_error(monkeypatch, capsys, argv, raw):
+    monkeypatch.setenv("BINOMHARM_DIGITS", raw)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: BINOMHARM_DIGITS must be")
+
+
 # ----------------------------------------------------------------------
 # constants
 

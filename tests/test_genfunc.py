@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomharm.ball_arith import Ball, DomainError
+from binomharm.ball_arith import DomainError
 from binomharm.exact_core import (SurdQ5, alpha_power, catalan_number, fib,
                                   harmonic, lucas)
 from binomharm.genfunc import (GF_NAMES, family_stream, gf_domain,

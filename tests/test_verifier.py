@@ -61,7 +61,20 @@ def test_report_shape_and_pass_verdict():
     assert rep["agreed_digits"] >= 15
     assert rep["digits_requested"] == 15
     assert rep["n_terms"] > 0
+    assert rep["mode"] == "fixed"
     assert isinstance(rep["wall_time"], float)
+
+
+@pytest.mark.parametrize("eid", ["EQ11", "EQ18"])
+def test_lucas_r1_entries_pass_at_200_digits(eid):
+    # at alpha^-1 / 4 a pair (a, b) for a + b sqrt5 would follow the
+    # conjugate series, which grows like alpha^n; one fixed-point
+    # integer for the point keeps these sums short
+    rep = verify_identity(REG[eid], digits=200)
+    assert rep["verdict"] == "PASS"
+    assert rep["agreed_digits"] >= 200
+    assert rep["n_terms"] <= 1024
+    assert rep["mode"] == "fixed"
 
 
 def test_report_includes_r_for_family_instances():
