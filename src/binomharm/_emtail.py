@@ -29,12 +29,30 @@ Every series is a :class:`USeries`: ball coefficients up to degree J
 plus an exact rational rho with |f(u) - poly(u)| <= rho u^(J+1) on the
 validity window.  All bound bookkeeping is exact rational arithmetic;
 only midpoint values live in balls.  Valid for N >= 32 (so a = N+1 >= 33).
+
+Shared work.  Every entry expands the same b(n) and the same harmonic
+asymptotics, and every tail sits at the same a = N+1, so the pure pieces
+are memoized with ``functools.lru_cache``, each keyed by its exact
+arguments and filled on first use (nothing is computed at import):
+
+    _bern(m)                 Bernoulli numbers, unbounded (small m only)
+    _h_series(s, prec)       h_{sn} series, D-factor building block
+    _g_series(prec)          ln(b(n) sqrt(pi n))
+    _exp_g(e, prec)          exp(e g) = (b(n) sqrt(pi n))^e
+    _d_part(kind, prec)      the harmonic factor D_kind(n)
+    build_poly(recipe, prec) the assembled coefficient polynomials
+    z_em, zl_em(s, a, prec)  the Hurwitz-type sums, bounded (keyed by a)
+    _apow(a, expo, prec)     the powers of a they share, bounded
+
+A cached value is handed to every later caller, so it must never be
+mutated: ``USeries`` operators and :class:`Ball` operations always build
+new objects, and a series is only written to while it is being built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,7 +72,13 @@ _MIN_A = 33                  # tails valid for a = N+1 >= 33
 
 __all__ = ["EmRecipe", "tail_enclosure", "build_poly", "z_em", "zl_em", "J", "U0"]
 
+_PREC_CACHE = 256            # entries per prec-keyed cache
+_Z_CACHE = 2048              # (s, a, prec) entries per Hurwitz-sum cache
 
+# every cache below hands out shared objects: callers must not mutate them
+
+
+@functools.lru_cache(maxsize=None)
 def _bern(m: int) -> Fraction:
     p, q = bernfrac(m)
     return Fraction(int(p), int(q))
@@ -300,6 +324,7 @@ def _s_series(a: Fraction, prec: int, js: int = 8) -> USeries:
     return out
 
 
+@functools.lru_cache(maxsize=_PREC_CACHE)
 def _h_series(s: int, prec: int, kh: int = 7) -> USeries:
     """h_{sn} = H_{sn} - ln(sn) - gamma as a series in u = 1/n."""
     ser = USeries(prec, [Fraction(0), Fraction(1, 2 * s)])
@@ -314,12 +339,20 @@ def _h_series(s: int, prec: int, kh: int = 7) -> USeries:
     return ser
 
 
+@functools.lru_cache(maxsize=_PREC_CACHE)
 def _g_series(prec: int) -> USeries:
     """ln(b(n) sqrt(pi n)) as a u-series."""
     return (_a_series(prec) + _const_ser(prec, Fraction(1, 2))
             + _s_series(Fraction(1, 2), prec) - _s_series(Fraction(1), prec))
 
 
+@functools.lru_cache(maxsize=_PREC_CACHE)
+def _exp_g(e: int, prec: int) -> USeries:
+    """(b(n) sqrt(pi n))^e = exp(e g) as a u-series."""
+    return exp_useries(_g_series(prec).scale_frac(Fraction(e)))
+
+
+@functools.lru_cache(maxsize=_PREC_CACHE)
 def _d_part(kind: str, prec: int):
     """Harmonic factor D(n) = alpha_L ln n + D0(u); returns (alpha_L, D0)."""
     ln2 = constant(ConstantName.LN2, prec)
@@ -364,23 +397,14 @@ class EmRecipe:
         return Fraction(len(self.Q) - len(self.P)) + Fraction(self.e, 2)
 
 
-_POLY_CACHE: dict = {}
-_POLY_LOCK = threading.Lock()
-
-
+@functools.lru_cache(maxsize=_PREC_CACHE)
 def build_poly(recipe: EmRecipe, prec: int):
     """(sigma0, W0, W1): t_n = sum_j (W0_j + W1_j ln n) n^(-sigma0-j) + rem."""
-    cache_key = (recipe.key, recipe.P, recipe.Q, recipe.e, recipe.dkind, prec)
-    with _POLY_LOCK:
-        got = _POLY_CACHE.get(cache_key)
-    if got is not None:
-        return got
     pstar = tuple(reversed(recipe.P))
     qstar = tuple(reversed(recipe.Q))
     t = rational_useries(pstar, qstar, prec)
     if recipe.e:
-        g = _g_series(prec)
-        x = exp_useries(g.scale_frac(Fraction(recipe.e)))
+        x = _exp_g(recipe.e, prec)
         pi = constant(ConstantName.PI, prec)
         if recipe.e == 1:
             pref = 1 / pi.sqrt()
@@ -392,10 +416,7 @@ def build_poly(recipe: EmRecipe, prec: int):
     alpha_l, d0 = _d_part(recipe.dkind, prec)
     w1 = t.scale_frac(alpha_l)
     w0 = t * d0
-    result = (recipe.sigma0, w0, w1)
-    with _POLY_LOCK:
-        _POLY_CACHE[cache_key] = result
-    return result
+    return recipe.sigma0, w0, w1
 
 
 # --------------------------------------------------------------------
@@ -409,6 +430,7 @@ def _poch(s: Fraction, m: int) -> Fraction:
     return v
 
 
+@functools.lru_cache(maxsize=_Z_CACHE)
 def _apow(a: int, expo: Fraction, prec: int) -> Ball:
     """a^expo for integer a >= 2 and expo with denominator 1 or 2."""
     expo = Fraction(expo)
@@ -421,6 +443,7 @@ def _apow(a: int, expo: Fraction, prec: int) -> Ball:
     raise ValueError("exponent must be an integer or half-integer")
 
 
+@functools.lru_cache(maxsize=_Z_CACHE)
 def z_em(s: Fraction, a: int, prec: int, k_order: int = 10) -> Ball:
     """sum_{n >= a} n^-s with the remainder folded into the radius."""
     s = Fraction(s)
@@ -437,6 +460,7 @@ def z_em(s: Fraction, a: int, prec: int, k_order: int = 10) -> Ball:
     return val.widened(err.abs_hi())
 
 
+@functools.lru_cache(maxsize=_Z_CACHE)
 def zl_em(s: Fraction, a: int, prec: int) -> Ball:
     """sum_{n >= a} n^-s ln n with a certified remainder.
 

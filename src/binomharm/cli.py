@@ -77,6 +77,17 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _default_parallelism() -> int:
     getter = getattr(os, "process_cpu_count", os.cpu_count)
     return getter() or 1
@@ -365,12 +376,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--r", type=int,
                           help="family parameter for template ids "
                                "(FIB_H, LUCAS_H, ...)")
-    p_verify.add_argument("--digits", type=int,
+    p_verify.add_argument("--digits", type=_positive_int,
                           help="agreed digits to demand "
                                "(default: per-entry policy)")
-    p_verify.add_argument("--max-terms", type=int, dest="max_terms",
+    p_verify.add_argument("--max-terms", type=_positive_int, dest="max_terms",
                           help="term budget override")
-    p_verify.add_argument("--workers", type=int,
+    p_verify.add_argument("--workers", type=_positive_int,
                           default=_default_parallelism(),
                           help="worker processes for --all")
     add_format(p_verify)
@@ -383,16 +394,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="exact rational point, e.g. 1/8")
     p_eval.add_argument("--k", type=int,
                         help="shift order (GF_SHIFTED only)")
-    p_eval.add_argument("--digits", type=int,
+    p_eval.add_argument("--digits", type=_positive_int,
                         help=f"digits to certify (default {_EVAL_DIGITS})")
-    p_eval.add_argument("--max-terms", type=int, dest="max_terms",
+    p_eval.add_argument("--max-terms", type=_positive_int, dest="max_terms",
                         help="series check term budget "
                              f"(default {_EVAL_MAX_TERMS})")
     add_format(p_eval)
 
     p_const = sub.add_parser("constants",
                              help="print verified constant enclosures")
-    p_const.add_argument("--digits", type=int,
+    p_const.add_argument("--digits", type=_positive_int,
                          help=f"digits to print (default {_CONST_DIGITS})")
     add_format(p_const)
     return parser

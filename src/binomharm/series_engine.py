@@ -465,6 +465,13 @@ def sum_to_precision(stream: TermStream, strategy: TailStrategy,
         prec = working_precision(target_digits)
     tol = _tol_for(target_digits)
     half_tol_ball = Ball.from_fraction(tol / 2, prec)
+    # an empty sum proves nothing: its zero last term would give a zero
+    # geometric tail, and so a zero-width enclosure of the value 0
+    if max_terms < stream.first_index:
+        raise PrecisionNotReached(
+            f"term budget {max_terms} ends before the first term "
+            f"(index {stream.first_index})",
+            n_terms=0, requested_digits=target_digits)
 
     planned = strategy.plan_terms(tol / 2, max_terms)
     if planned is not None:

@@ -43,6 +43,25 @@ def test_float_x_is_rejected():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--id", "EQ6", "--digits"],
+    ["verify", "--id", "EQ6", "--max-terms"],
+    ["verify", "--all", "--workers"],
+    ["eval", "--gf", "GF_M", "--x", "1/8", "--digits"],
+    ["eval", "--gf", "GF_M", "--x", "1/8", "--max-terms"],
+    ["constants", "--digits"],
+], ids=["verify-digits", "verify-max-terms", "verify-workers",
+        "eval-digits", "eval-max-terms", "constants-digits"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_int_flag_is_a_usage_error(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a positive integer" in captured.err
+
+
 def test_truncate_significand_preserves_magnitude():
     assert _truncate_significand("3.14159265", 4) == "3.141"
     assert _truncate_significand("0.0003681553", 3) == "0.000368"

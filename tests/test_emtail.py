@@ -55,6 +55,59 @@ def test_build_poly_is_cached():
     assert a is b
 
 
+# ----------------------------------------------------------------------
+# the shared caches
+#
+# Every cached piece is pure, so a tail must not depend on what earlier
+# calls left in the caches, nor on the order in which they filled them.
+
+
+def _clear_caches():
+    cached = [f for f in vars(_emtail).values() if hasattr(f, "cache_clear")]
+    for f in cached:
+        f.cache_clear()
+    return {f.__name__ for f in cached}
+
+
+def _all_tails(keys):
+    out = {}
+    for key in keys:
+        for N in (32, 2048):
+            for prec in (PREC, 240):
+                t = _emtail.tail_enclosure(registry._RECIPES[key], N, prec)
+                out[key, N, prec] = (t.mid, t.rad)
+    return out
+
+
+def test_tails_do_not_depend_on_cache_state():
+    keys = list(registry._RECIPES)
+    assert len(keys) == 12
+    names = _clear_caches()
+    assert {"build_poly", "z_em", "zl_em", "_g_series", "_exp_g",
+            "_d_part", "_h_series", "_bern"} <= names
+    cold = _all_tails(keys)
+    warm = _all_tails(keys)
+    _clear_caches()
+    reverse = _all_tails(keys[::-1])
+    assert warm == cold
+    assert reverse == cold
+
+
+_S_GRID = [Fraction(k, 2) for k in range(3, 35)]
+
+
+@pytest.mark.parametrize("a", [33, 2049])
+def test_cached_z_sums_equal_uncached(a):
+    _clear_caches()
+    for s in _S_GRID:
+        for fn in (_emtail.z_em, _emtail.zl_em):
+            got = fn(s, a, PREC)
+            assert fn(s, a, PREC) is got
+            fresh = fn.__wrapped__(s, a, PREC)
+            assert (got.mid, got.rad) == (fresh.mid, fresh.rad), \
+                f"{fn.__name__}({s}, {a})"
+
+
 def test_tail_requires_min_index():
     recipe = registry._RECIPES["EQ1"]
     with pytest.raises(ValueError):

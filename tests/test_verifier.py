@@ -101,6 +101,16 @@ def test_budget_exhaustion_is_inconclusive():
     assert list(rep).index("reason") == len(list(rep)) - 2
 
 
+@pytest.mark.parametrize("max_terms", [0, -5])
+@pytest.mark.parametrize("eid", ["EQ6", "EQ1"])  # geometric, asymptotic
+def test_empty_budget_never_decides(eid, max_terms):
+    # an empty sum encloses 0 exactly; it must not refute a sound identity
+    rep = verify_identity(REG[eid], max_terms=max_terms)
+    assert rep["verdict"] == "INCONCLUSIVE"
+    assert rep["n_terms"] >= 0
+    assert f"term budget {max_terms} exhausted" in rep["reason"]
+
+
 def test_mid_strings_round_trip_to_expected_value():
     rep = verify_identity(REG["EQ34"], digits=15)
     assert rep["series_mid"].startswith("0.03681553890925538")
