@@ -6,7 +6,8 @@ recurrences (term ratios, incremental harmonic updates).  Two streams
 exist: :class:`HarmonicStream`, t_n = U_n D_n with U by an exact ratio
 times a point of Q or Q(sqrt5), and the composite :class:`Thm24Stream`
 built from two of them.  Exact iteration (``iter_exact``,
-``partial_sum_exact``) is the reference route for replays and tests;
+``partial_sum_exact``) is the reference route for tests; the hypothesis
+replay reads exact step ratios (``HarmonicStream.step_factors``);
 ``partial_sum`` runs one fixed-point kernel for every stream: integers
 at scale 2^p with explicit ulp error counters, an irrational point held
 as one such integer.
@@ -16,8 +17,16 @@ enclosure of the discarded tail.  Three kinds exist: a geometric
 envelope, an Euler-Maclaurin asymptotic expansion (the only one able to
 certify 15+ digits for the n^{-3/2}- and n^{-2}-type series), and the
 composite Euler-Maclaurin tail of Theorem 2.4.  Declared ratio
-envelopes are re-checked exactly at runtime on the terms actually
-produced; a violation raises :class:`TailHypothesisViolation`.
+envelopes are re-checked exactly at runtime on the steps the stream
+actually takes, n <= min(160, max_terms); a violation raises
+:class:`TailHypothesisViolation`.  The replay works on exact step
+ratios rather than on exact terms: a harmonic stream has
+t_n = U_{n-1} point r(n-1) D_n, so while U_{n-1} != 0 dividing it out
+turns |t_n| <= env(n-1) |t_{n-1}| into the equivalent
+|point| |r(n-1) D_n| <= env(n-1) |D_{n-1}|.  That needs rational
+arithmetic on D and r only, plus at most one exact sign in Q(sqrt5),
+and never the fast-growing U_n.  A stream or value the replay cannot
+decide exactly raises instead of passing.
 """
 
 from __future__ import annotations
@@ -169,6 +178,10 @@ class TermStream:
         return self._fixed_sum(N, prec)
 
 
+def _is_zero(v) -> bool:
+    return v.is_zero() if isinstance(v, SurdQ5) else v == 0
+
+
 def _to_fixed(v, p: int) -> tuple[int, int]:
     """(m, e): m * 2^-p is within e * 2^-p of the exact value v.
 
@@ -216,6 +229,29 @@ class HarmonicStream(TermStream):
             yield n, u * d
             u = u * (self.point * self.uratio(n))
             d = d + _d_delta(self.kind, n)
+            n += 1
+
+    def step_factors(self) -> Iterator[tuple[int, Fraction, Fraction]]:
+        """Exact step ratios: (n, D_{n-1}, r(n-1) D_n) for n > first_index.
+
+        Since U_n = U_{n-1} point r(n-1), each step has
+        |t_n| / |t_{n-1}| = |point| |r(n-1) D_n| / |D_{n-1}| as long as
+        U_{n-1} != 0.  The steps stop once U vanishes (a zero seed,
+        point or ratio): every later term is zero, so every later step
+        holds for any envelope.
+        """
+        if _is_zero(self.seed):
+            return
+        last = _is_zero(self.point)
+        d = _d_first(self.kind)
+        n = self.first_index
+        while True:
+            r = self.uratio(n)
+            d_next = d + _d_delta(self.kind, n)
+            yield n + 1, d, r * d_next
+            if last or r == 0:
+                return
+            d = d_next
             n += 1
 
     def _fixed_sum(self, N: int, prec: int):
@@ -329,11 +365,18 @@ class TailStrategy:
         """Predetermined N when the strategy can solve for it, else None."""
         return None
 
-    def check_step(self, n: int, t_prev, t_cur) -> None:
+    def check_step(self, n: int, scale, prev, cur) -> None:
         """Raise TailHypothesisViolation on a definite hypothesis breach.
 
-        ``t_cur`` is the term at index ``n``, ``t_prev`` the one before it.
+        The step from index n-1 to n has the exact ratio
+        |t_n / t_{n-1}| = scale |cur| / |prev|, with ``scale`` >= 0 in Q
+        or Q(sqrt5) and ``prev``, ``cur`` rational (see
+        :meth:`HarmonicStream.step_factors`).
         """
+
+
+def _is_rational(v) -> bool:
+    return isinstance(v, (int, Fraction))
 
 
 @dataclass
@@ -341,6 +384,15 @@ class GeometricTail(TailStrategy):
     """|t_{n+1}| <= step_env(n) |t_n| with sup_{n>=N} step_env(n) <= sup_env(N).
 
     Tail bound: |t_N| Q / (1 - Q) at Q = sup_env(N) < 1.
+
+    The step envelope is replayed exactly on the stream's step ratios:
+    step n holds iff scale |cur| <= step_env(n-1) |prev|, which for a
+    harmonic stream (scale = |point|, prev = D_{n-1}, cur = r(n-1) D_n)
+    is |t_n| <= step_env(n-1) |t_{n-1}| with the common nonzero factor
+    |U_{n-1}| divided out.  Both sides are cross-multiplied, so
+    D_{n-1} = 0 is decided too; an irrational scale costs one exact
+    sign in Q(sqrt5), that of q - scale with q rational.  A value that
+    is not exact raises TypeError instead of passing unchecked.
     """
 
     step_env: Callable[[int], Fraction]
@@ -355,19 +407,36 @@ class GeometricTail(TailStrategy):
         bound = t_hi * q / (1 - q)
         return _signed_tail_ball(bound, stream.sign, prec)
 
-    def check_step(self, n, t_prev, t_cur):
+    def check_step(self, n, scale, prev, cur):
         env = self.step_env(n - 1)
-        if isinstance(t_prev, Fraction) and isinstance(t_cur, Fraction):
-            if abs(t_cur) > env * abs(t_prev):
-                raise TailHypothesisViolation(
-                    f"geometric envelope violated at n={n}: "
-                    f"|t|={abs(t_cur)} > {env} * {abs(t_prev)}")
-        elif isinstance(t_prev, SurdQ5) and isinstance(t_cur, SurdQ5):
-            # decide env |t_prev| - |t_cur| >= 0 exactly in Q(sqrt5)
-            if (abs(t_prev) * env - abs(t_cur)).sign() < 0:
-                raise TailHypothesisViolation(
-                    f"geometric envelope violated at n={n}: "
-                    f"|t| > {env} * |t_prev| in Q(sqrt5)")
+        if not (_is_rational(env) and _is_rational(prev)
+                and _is_rational(cur)):
+            raise TypeError(
+                f"step {n} cannot be decided exactly: envelope "
+                f"{type(env).__name__}, factors {type(prev).__name__} "
+                f"and {type(cur).__name__}")
+        # scale |cur| <= env |prev| times the positive denominators of
+        # cur, env and prev: scale lhs <= rhs with integers lhs >= 0, rhs
+        lhs = abs(cur.numerator) * env.denominator * prev.denominator
+        rhs = env.numerator * abs(prev.numerator) * cur.denominator
+        if isinstance(scale, SurdQ5):
+            # lhs (a + b sqrt5) <= rhs times the denominators of a and b,
+            # decided by one exact sign in Q(sqrt5)
+            a, b = scale.a, scale.b
+            gap = SurdQ5(
+                Fraction((rhs * a.denominator - lhs * a.numerator)
+                         * b.denominator),
+                Fraction(-lhs * b.numerator * a.denominator))
+            ok = gap.sign() >= 0
+        elif _is_rational(scale):
+            ok = scale.numerator * lhs <= rhs * scale.denominator
+        else:
+            raise TypeError(f"step {n} cannot be decided exactly: point "
+                            f"scale {type(scale).__name__}")
+        if not ok:
+            raise TailHypothesisViolation(
+                f"geometric envelope violated at n={n}: "
+                f"|t_n| > {env} * |t_(n-1)|")
 
 
 @dataclass
@@ -390,9 +459,6 @@ class AsymptoticTail(TailStrategy):
 
     def plan_terms(self, tol: Fraction, max_terms: int) -> Optional[int]:
         return 2048
-
-    def check_step(self, n, t_prev, t_cur):
-        pass
 
 
 @dataclass
@@ -417,9 +483,6 @@ class Thm24Tail(TailStrategy):
     def plan_terms(self, tol: Fraction, max_terms: int) -> Optional[int]:
         return 2048
 
-    def check_step(self, n, t_prev, t_cur):
-        pass
-
 
 # --------------------------------------------------------------------
 # Rigorous summation
@@ -439,16 +502,22 @@ def _tol_for(target_digits: int) -> Fraction:
 
 
 def _run_checks(stream, strategy, upto):
-    """Replay the declared hypotheses against the first terms exactly."""
+    """Replay the declared hypotheses exactly on every step n <= upto.
+
+    Each step is decided on the stream's exact step ratio
+    (:meth:`HarmonicStream.step_factors`), never on the terms themselves;
+    a stream without exact step ratios raises TypeError.
+    """
     if not strategy.has_runtime_check:
         return
-    prev = None
-    for n, t in stream.iter_exact():
+    if not isinstance(stream, HarmonicStream):
+        raise TypeError(f"{type(stream).__name__} has no exact step ratios "
+                        f"to replay {strategy.kind} hypotheses on")
+    scale = abs(stream.point)
+    for n, prev, cur in stream.step_factors():
         if n > upto:
             break
-        if prev is not None:
-            strategy.check_step(n, prev, t)
-        prev = t
+        strategy.check_step(n, scale, prev, cur)
 
 
 def sum_to_precision(stream: TermStream, strategy: TailStrategy,

@@ -1,5 +1,7 @@
 """Term streams, tail strategies, and rigorous summation."""
 
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,14 +10,14 @@ from hypothesis import strategies as st
 
 from binomharm.ball_arith import Ball, ConstantName, constant
 from binomharm.exact_core import SurdQ5, harmonic
-from binomharm.genfunc import family_stream
+from binomharm.genfunc import family_stream, substitution_point
 from binomharm.registry import (TEMPLATE_IDS, build_template_entry,
                                 make_registry)
 from binomharm.series_engine import (GeometricTail, HarmonicStream,
                                      PrecisionNotReached, SignPattern,
-                                     TailHypothesisViolation, _run_checks,
-                                     d_value, empirical_tail_check,
-                                     sum_to_precision)
+                                     TailHypothesisViolation, Thm24Stream,
+                                     _run_checks, d_value,
+                                     empirical_tail_check, sum_to_precision)
 
 PREC = 200
 
@@ -209,6 +211,105 @@ def test_checks_can_be_disabled():
                         sup_env=lambda n: Fraction(1, 2))
     res = sum_to_precision(s, bad, 30, check_hypotheses=False)
     assert contains(res.value, Fraction(1))
+
+
+def test_mixed_type_first_step_is_checked():
+    # a rational seed at a Q(sqrt5) point: t_1 is rational, t_2 is not,
+    # and the step between them must be decided like every other one
+    stream = HarmonicStream(seed=Fraction(1),
+                            point=substitution_point("FIB", 1),
+                            uratio=lambda n: Fraction(1))
+    tight = GeometricTail(step_env=lambda n: Fraction(1, 100),
+                          sup_env=lambda n: Fraction(1, 100))
+    with pytest.raises(TailHypothesisViolation, match=r"at n=2\b"):
+        _run_checks(stream, tight, 2)
+
+
+def _sound_tail():
+    return GeometricTail(step_env=lambda n: Fraction(1, 2),
+                         sup_env=lambda n: Fraction(1, 2))
+
+
+@pytest.mark.parametrize("stream, tail", [
+    # no exact step ratios
+    (Thm24Stream(), _sound_tail()),
+    # an inexact envelope
+    (geometric_stream(Fraction(1, 3)),
+     GeometricTail(step_env=lambda n: 0.5, sup_env=lambda n: Fraction(1, 2))),
+    # an inexact term ratio
+    (HarmonicStream(seed=Fraction(1, 3), uratio=lambda n: 1 / 3),
+     _sound_tail()),
+], ids=["thm24-stream", "float-envelope", "float-ratio"])
+def test_undecidable_replay_raises(stream, tail):
+    with pytest.raises(TypeError):
+        _run_checks(stream, tail, 160)
+
+
+def _term_form_violation(terms, step_env, upto):
+    """Oracle: the first n <= upto with |t_n| > step_env(n-1) |t_{n-1}|,
+    decided on the exact terms themselves, or None."""
+    def surd(t):
+        return t if isinstance(t, SurdQ5) else SurdQ5.from_rational(t)
+
+    for (_, t_prev), (n, t_cur) in zip(terms, terms[1:]):
+        if n > upto:
+            break
+        if (abs(surd(t_prev)) * step_env(n - 1) - abs(surd(t_cur))).sign() < 0:
+            return n
+    return None
+
+
+def _ratio_form_violation(stream, strategy, upto):
+    try:
+        _run_checks(stream, strategy, upto)
+    except TailHypothesisViolation as exc:
+        return int(re.search(r"at n=(\d+)", str(exc)).group(1))
+    return None
+
+
+def _geometric_cases():
+    reg = make_registry()
+    ids = [k for k, e in reg.items()
+           if isinstance(e.make_stream()[1], GeometricTail)]
+    return ids + [f"{t}@{r}" for t in TEMPLATE_IDS for r in (1, 2, 3, 10)]
+
+
+def _nudged(step_env, n0, value):
+    """step_env with its envelope for step n0 (argument n0 - 1) replaced."""
+    return lambda m: value if m == n0 - 1 else step_env(m)
+
+
+_REPLAY_UPTO = 160
+
+
+@pytest.mark.parametrize("case", _geometric_cases())
+def test_ratio_replay_matches_term_replay(case):
+    if "@" in case:
+        tid, r = case.split("@")
+        entry = build_template_entry(tid, int(r))
+    else:
+        entry = make_registry()[case]
+    stream, real = entry.make_stream()
+    terms = list(itertools.islice(
+        stream.iter_exact(), _REPLAY_UPTO - stream.first_index + 1))
+    by_n = dict(terms)
+    # (envelope, the step it must fail at or None)
+    envs = [(real.step_env, None)]
+    gap = Fraction(1, 10 ** 80)
+    for n0 in (2, 80, _REPLAY_UPTO):
+        ratio = abs(by_n[n0] / by_n[n0 - 1])
+        if isinstance(ratio, SurdQ5):
+            lo, hi = Ball.from_surd(ratio, 400).to_interval_fractions()
+        else:
+            lo = hi = ratio
+        envs.append((_nudged(real.step_env, n0, hi + gap), None))
+        envs.append((_nudged(real.step_env, n0, lo - gap), n0))
+    for step_env, expected in envs:
+        strategy = GeometricTail(step_env=step_env, sup_env=real.sup_env)
+        oracle = _term_form_violation(terms, step_env, _REPLAY_UPTO)
+        assert oracle == expected, case
+        assert _ratio_form_violation(stream, strategy, _REPLAY_UPTO) \
+            == oracle, case
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Verdict classification, report shape, and run-to-run determinism."""
 
+import dataclasses
 import multiprocessing
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from binomharm import registry
 from binomharm.ball_arith import Ball
 from binomharm.registry import build_template_entry, make_registry
+from binomharm.series_engine import GeometricTail, Thm24Stream
 from binomharm.verifier import (DIGITS_ENV_VAR, agreed_digits,
                                 verify_all, verify_identity)
 
@@ -218,3 +220,17 @@ def test_exception_in_one_entry_is_contained(monkeypatch, workers):
     s = out["summary"]
     assert (s["n_pass"], s["n_fail"], s["n_inconclusive"]) == (4, 1, 1)
     assert s["ok"] is False
+
+
+def test_undecidable_replay_is_inconclusive():
+    # a geometric envelope over a stream with no exact step ratios
+    # cannot be replayed; the entry must not pass unchecked
+    tail = GeometricTail(step_env=lambda n: Fraction(1, 2),
+                         sup_env=lambda n: Fraction(1, 2))
+    entry = dataclasses.replace(REG["THM24"],
+                                make_stream=lambda: (Thm24Stream(), tail))
+    rep = verify_identity(entry, digits=15)
+    assert rep["verdict"] == "INCONCLUSIVE"
+    assert rep["ok"] is False
+    assert rep["reason"].startswith("TypeError: Thm24Stream has no exact "
+                                    "step ratios")
