@@ -36,8 +36,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .ball_arith import Ball, ConstantName, DomainError, constant
-from .exact_core import SurdQ5, alpha_power, catalan_number, fib, harmonic, lucas
-from .series_engine import GeometricTail, HarmonicStream, SignPattern
+from .exact_core import SurdQ5, alpha_power, catalan_number, fib, lucas
+from .series_engine import (HARMONIC_KINDS, GeometricTail, HarmonicStream,
+                            SignPattern, d_value)
 
 __all__ = [
     "GF_NAMES",
@@ -128,10 +129,10 @@ def gf_term(name: str, n: int, x, k: Optional[int] = None):
             raise ValueError("GF_SHIFTED needs k")
         return math.comb(2 * n + k, n) * Fraction(x) ** n
     if name in _CB_KIND:
-        d = _d_of(_CB_KIND[name], n)
+        d = d_value(_CB_KIND[name], n)
         return math.comb(2 * n, n) * _xpow(x, n) * d
     if name in _CAT_KIND:
-        d = _d_of(_CAT_KIND[name], n)
+        d = d_value(_CAT_KIND[name], n)
         return catalan_number(n) * _xpow(x, n) * d
     x = Fraction(x)
     if name == "GF_EQ28":
@@ -155,18 +156,6 @@ def _xpow(x, n: int):
             out = out * x
         return out
     return Fraction(x) ** n
-
-
-def _d_of(kind: str, n: int) -> Fraction:
-    if kind == "H":
-        return harmonic(n)
-    if kind == "HD":
-        return harmonic(2 * n) - harmonic(n)
-    if kind == "H2N":
-        return harmonic(2 * n)
-    if kind == "HD_HALF":
-        return harmonic(2 * n) - harmonic(n) / 2
-    raise ValueError(kind)
 
 
 # --------------------------------------------------------------------
@@ -278,31 +267,26 @@ def _taylor_fallback(name: str, x: Fraction, prec: int,
 # --------------------------------------------------------------------
 
 def harmonic_step_envelope(kind: str):
-    """Decreasing h(n) with D_{n+1}/D_n <= h(n) for the harmonic factor."""
-    if kind == "H":
-        return lambda n: Fraction(n + 2, n + 1)
-    if kind == "HD":
-        return lambda n: 1 + Fraction(2, (2 * n + 1) * (2 * n + 2))
-    if kind == "H2N":
-        return lambda n: 1 + Fraction(2 * (4 * n + 3),
-                                      3 * (2 * n + 1) * (2 * n + 2))
-    if kind == "HD_HALF":
-        return lambda n: 1 + Fraction(1, 2 * n + 1)
-    raise ValueError(kind)
+    """Decreasing h(n) with D_{n+1}/D_n <= h(n) for the harmonic factor:
+    h(n) = 1 + delta(n)/D_first, from :data:`series_engine.HARMONIC_KINDS`
+    (:meth:`series_engine.HarmonicKind.step_bound`)."""
+    hk = HARMONIC_KINDS[kind]
+    if hk.first <= 0:
+        raise ValueError(f"harmonic kind {kind!r} starts at D = {hk.first}")
+    return hk.step_bound
 
 
-def _sign_of(x: Fraction, alternating_possible: bool = True) -> SignPattern:
-    if x > 0:
-        return SignPattern.POSITIVE
-    return SignPattern.ALTERNATING if alternating_possible else SignPattern.NEGATIVE
+def _sign_of(x: Fraction) -> SignPattern:
+    return SignPattern.POSITIVE if x > 0 else SignPattern.ALTERNATING
 
 
 def _cb_stream(x, kind: str, sign: SignPattern) -> HarmonicStream:
-    """sum C(2n,n) x^n D_n for x in Q or Q(sqrt5)."""
-    return HarmonicStream(
-        seed=x * 2, point=x,
-        uratio=lambda n: Fraction((2 * n + 1) * (2 * n + 2), (n + 1) ** 2),
-        kind=kind, sign=sign)
+    """sum C(2n,n) x^n D_n for x in Q or Q(sqrt5).
+
+    C(2n+2,n+1) / C(2n,n) = 2(2n+1)/(n+1).
+    """
+    return HarmonicStream(seed=x * 2, A=(2, 4), B=(1, 1), point=x,
+                          kind=kind, sign=sign)
 
 
 def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
@@ -320,61 +304,60 @@ def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
         if name in _CB_KIND:
             kind = _CB_KIND[name]
             stream = _cb_stream(x, kind, _sign_of(x))
-            coef = lambda n: Fraction(2 * n + 1, 2 * (n + 1))
         else:
+            # Cat(n+1) / Cat(n) = 2(2n+1)/(n+2)
             kind = _CAT_KIND[name]
-            stream = HarmonicStream(
-                seed=x, point=x,
-                uratio=lambda n: Fraction(2 * (2 * n + 1), n + 2),
-                kind=kind, sign=_sign_of(x))
-            coef = lambda n: Fraction(2 * n + 1, 2 * (n + 2))
-        henv = harmonic_step_envelope(kind)
+            stream = HarmonicStream(seed=x, A=(2, 4), B=(2, 1), point=x,
+                                    kind=kind, sign=_sign_of(x))
+        # step_env(n) = q0 (r(n)/4) henv(n): the bound 4|x| <= q0 on
+        # |x|, r(n)/4 < 1 from the binomial or Catalan ratio, and the
+        # harmonic factor's own step
+        henv, q4 = harmonic_step_envelope(kind), q0 / 4
         strategy = GeometricTail(
-            step_env=lambda n, c=coef, h=henv: q0 * c(n) * h(n),
-            sup_env=lambda N, h=henv: q0 * h(N))
+            step_env=lambda n: q4 * stream.ratio(n) * henv(n),
+            sup_env=lambda N: q0 * henv(N))
         return stream, strategy
 
     if name in ("GF_EQ28", "GF_EQ29", "GF_EQ30"):
         if abs(x) >= 1:
             raise DomainError(f"series route for {name} needs |x| < 1")
         x2 = x * x
+        sign = SignPattern.POSITIVE if x > 0 else SignPattern.NEGATIVE
         if name == "GF_EQ28":
-            seed, ratio = x2 / 6, (lambda n: x2 * Fraction(
-                (2 * n - 1) ** 2, 2 * n * (2 * n + 3)))
+            # (2n-1)^2 / (2n (2n+3))
+            seed, A, B = x2 / 6, (1, -4, 4), (0, 6, 4)
             sign = SignPattern.POSITIVE
         elif name == "GF_EQ29":
-            seed, ratio = x ** 5 / 30, (lambda n: x2 * Fraction(
-                (2 * n - 1) ** 2, 2 * n * (2 * n + 5)))
-            sign = SignPattern.POSITIVE if x > 0 else SignPattern.NEGATIVE
+            # (2n-1)^2 / (2n (2n+5))
+            seed, A, B = x ** 5 / 30, (1, -4, 4), (0, 10, 4)
         else:
-            seed, ratio = x / 3, (lambda n: x2 * Fraction(
-                (n + 1) * (2 * n - 1) ** 2, 2 * n ** 2 * (2 * n + 3)))
-            sign = SignPattern.POSITIVE if x > 0 else SignPattern.NEGATIVE
-        stream = HarmonicStream(seed=seed, uratio=ratio, sign=sign)
+            # (n+1) (2n-1)^2 / (2n^2 (2n+3))
+            seed, A, B = x / 3, (1, -3, 0, 4), (0, 0, 6, 4)
+        stream = HarmonicStream(seed=seed, A=A, B=B, point=x2, sign=sign)
         strategy = GeometricTail(
-            step_env=lambda n, r=ratio: abs(r(n)),
+            step_env=lambda n: x2 * abs(stream.ratio(n)),
             sup_env=lambda N: x2)
         return stream, strategy
 
     if name == "GF_SHIFTED":
+        # C(2m+k+2, m+1) / C(2m+k, m)
+        #   = (2m+k+1)(2m+k+2) / ((m+1)(m+k+1))
         stream = HarmonicStream(
             seed=Fraction(1), point=x, first_index=0, sign=_sign_of(x),
-            uratio=lambda m: Fraction((2 * m + k + 1) * (2 * m + k + 2),
-                                      (m + 1) * (m + k + 1)))
-        coef = lambda m: Fraction((2 * m + k + 1) * (2 * m + k + 2),
-                                  4 * (m + 1) * (m + k + 1))
+            A=((k + 1) * (k + 2), 4 * k + 6, 4), B=(k + 1, k + 2, 1))
+        coef = lambda m: stream.ratio(m) / 4
         # coef(m) >= 1 only while 2m <= (k+1)(k-2); past that it climbs
         # back toward 1 from below, so the supremum over m >= M is q0
         # once M clears the hump and the hump maximum before that
         m_hump = (k + 1) * (k - 2) // 2
 
-        def sup_env(M, c=coef, m_hump=m_hump):
-            hump = max((c(m) for m in range(M, m_hump + 1)),
+        def sup_env(M):
+            hump = max((coef(m) for m in range(M, m_hump + 1)),
                        default=Fraction(1))
             return q0 * max(Fraction(1), hump)
 
         strategy = GeometricTail(
-            step_env=lambda m, c=coef: q0 * c(m),
+            step_env=lambda m: q0 * coef(m),
             sup_env=sup_env)
         return stream, strategy
 
@@ -411,9 +394,8 @@ def family_stream(family: str, r: int, kind: str):
     if clo <= 1:
         raise DomainError("family point must have c > 1")
     q0 = Fraction(1) / clo
-    henv = harmonic_step_envelope(kind)
-    coef = lambda n: Fraction(2 * n + 1, 2 * (n + 1))
+    henv, q4 = harmonic_step_envelope(kind), q0 / 4
     strategy = GeometricTail(
-        step_env=lambda n: q0 * coef(n) * henv(n),
+        step_env=lambda n: q4 * stream.ratio(n) * henv(n),
         sup_env=lambda N: q0 * henv(N))
     return stream, strategy

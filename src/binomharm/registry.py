@@ -20,6 +20,7 @@ how many tree nodes separate them from the corrected form.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -498,87 +499,52 @@ _RECIPES = {
 }
 
 
-def _stream_eq1():
-    return (HarmonicStream(
-        seed=Fraction(1, 6),
-        uratio=lambda n: Fraction((2 * n + 1) ** 2, (2 * n + 2) * (2 * n + 3)),
-        kind="HD"), AsymptoticTail(_RECIPES["EQ1"]))
+def _shift1(f: tuple) -> tuple:
+    """Coefficients of f(n+1), f ascending."""
+    return tuple(sum(c * math.comb(i, k) for i, c in enumerate(f))
+                 for k in range(len(f)))
 
 
-def _stream_eq2():
-    return (HarmonicStream(
-        seed=Fraction(1, 6),
-        uratio=lambda n: Fraction(n * (2 * n + 1) ** 2,
-                                  (n + 1) * (2 * n + 2) * (2 * n + 3)),
-        kind="HDM"), AsymptoticTail(_RECIPES["EQ2"]))
+def _pmul(*fs: tuple) -> tuple:
+    """Coefficients of the product of polynomials, all ascending."""
+    out = (1,)
+    for f in fs:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = tuple(prod)
+    return out
 
 
-def _stream_eq3():
-    return (HarmonicStream(
-        seed=Fraction(1, 20),
-        uratio=lambda n: Fraction((2 * n + 1) * (2 * n + 3),
-                                  2 * (n + 2) * (2 * n + 5)),
-        kind="H"), AsymptoticTail(_RECIPES["EQ3"]))
+def _em_terms(recipe: EmRecipe) -> HarmonicStream:
+    """The stream whose terms are the recipe's, from n = 1.
+
+    b(n+1)/b(n) = (2n+1)/(2n+2) and b(1) = 1/2, so the step ratio is
+    P(n+1) Q(n) (2n+1)^e / (P(n) Q(n+1) (2n+2)^e) and the seed is
+    scale P(1) / (Q(1) 2^e).
+    """
+    P, Q, e = recipe.P, recipe.Q, recipe.e
+    return HarmonicStream(
+        seed=recipe.scale * Fraction(sum(P), sum(Q) * 2 ** e),
+        A=_pmul(_shift1(P), Q, *[(1, 2)] * e),
+        B=_pmul(P, _shift1(Q), *[(2, 2)] * e),
+        kind=recipe.dkind,
+        sign=(SignPattern.POSITIVE if recipe.scale > 0
+              else SignPattern.NEGATIVE))
 
 
-def _stream_eq34():
-    return (HarmonicStream(
-        seed=Fraction(1, 30),
-        uratio=lambda n: Fraction((2 * n - 1) ** 2, 2 * n * (2 * n + 5))),
-        AsymptoticTail(_RECIPES["EQ34"]))
+def _stream_em(*recipes: EmRecipe) -> tuple:
+    """(stream, tail) of an asymptotic entry, derived from its recipe.
 
+    Theorem 2.4 passes the recipes of its two rational components,
+    U D and U D W, and gets the composite stream and tail.
+    """
+    if len(recipes) == 2:
+        return Thm24Stream(*map(_em_terms, recipes)), Thm24Tail(*recipes)
+    recipe, = recipes
+    return _em_terms(recipe), AsymptoticTail(recipe)
 
-def _stream_eq35():
-    return (HarmonicStream(
-        seed=Fraction(-1, 30),
-        uratio=lambda n: Fraction((2 * n - 1) ** 2, 2 * n * (2 * n + 5)),
-        sign=SignPattern.NEGATIVE),
-        AsymptoticTail(_RECIPES["EQ35"]))
-
-
-def _stream_eq36():
-    return (HarmonicStream(
-        seed=Fraction(1, 6),
-        uratio=lambda n: Fraction((n + 1) ** 2 * (2 * n - 1) ** 2,
-                                  n ** 2 * (2 * n + 2) * (2 * n + 3))),
-        AsymptoticTail(_RECIPES["EQ36"]))
-
-
-def _stream_thm24():
-    return (Thm24Stream(),
-            Thm24Tail(_RECIPES["THM24A"], _RECIPES["THM24B"]))
-
-
-def _stream_thm25a():
-    return (HarmonicStream(
-        seed=Fraction(3, 8),
-        uratio=lambda n: Fraction((2 * n + 1) * (2 * n + 3),
-                                  4 * (n + 2) ** 2),
-        kind="HD"), AsymptoticTail(_RECIPES["THM25A"]))
-
-
-def _stream_thm25b():
-    return (HarmonicStream(
-        seed=Fraction(1, 8),
-        uratio=lambda n: Fraction((2 * n + 1) ** 2,
-                                  4 * (n + 1) * (n + 2)),
-        kind="H2N"), AsymptoticTail(_RECIPES["THM25B"]))
-
-
-def _stream_thm26():
-    return (HarmonicStream(
-        seed=Fraction(1024, 675),
-        uratio=lambda n: Fraction((n + 2) * (2 * n - 1) ** 2,
-                                  n * (2 * n + 5) ** 2)),
-        AsymptoticTail(_RECIPES["THM26"]))
-
-
-def _stream_thm27():
-    return (HarmonicStream(
-        seed=Fraction(1, 12),
-        uratio=lambda n: Fraction((2 * n - 1) ** 2 * (2 * n + 1),
-                                  4 * n ** 2 * (2 * n + 3))),
-        AsymptoticTail(_RECIPES["THM27"]))
 
 
 # ---- term oracles computed from first principles ---------------------
@@ -645,7 +611,8 @@ def _entries() -> list:
         status=IdentityStatus.PRIOR_WORK,
         series_desc="sum C(2n,n) (H_2n - H_n) / (4^n (2n+1))",
         rhs=Sub(Mul(_PI, _LN2), Mul(R(2), _G)),
-        make_stream=_stream_eq1, default_digits=15, max_terms=20000,
+        make_stream=lambda: _stream_em(_RECIPES["EQ1"]),
+        default_digits=15, max_terms=20000,
         term_oracle=_t_eq1))
     e.append(IdentityEntry(
         id="EQ2", paper_eq="2", family="binomial",
@@ -654,7 +621,8 @@ def _entries() -> list:
         rhs=Sub(Add(Add(Add(R(2), Mul(R(2), _LN2)), PowInt(_LN2, 2)),
                     Mul(R(4), _G)),
                 Mul(_PI, Add(R(1), Mul(R(2), _LN2)))),
-        make_stream=_stream_eq2, default_digits=15, max_terms=20000,
+        make_stream=lambda: _stream_em(_RECIPES["EQ2"]),
+        default_digits=15, max_terms=20000,
         term_oracle=_t_eq2))
     e.append(IdentityEntry(
         id="EQ3", paper_eq="3", family="binomial",
@@ -662,7 +630,8 @@ def _entries() -> list:
         series_desc="sum Cat_n H_n / (4^n (2n+3))",
         rhs=Add(Sub(Sub(Add(R(2), Mul(R(4), _LN2)), Mul(R(4), _G)), _PI),
                 Mul(_PI, _LN2)),
-        make_stream=_stream_eq3, default_digits=15, max_terms=20000,
+        make_stream=lambda: _stream_em(_RECIPES["EQ3"]),
+        default_digits=15, max_terms=20000,
         term_oracle=_t_eq3))
 
     # -- the master generating function (4), checked at x = 1/8
@@ -838,14 +807,16 @@ def _entries() -> list:
         status=IdentityStatus.AS_PRINTED_OK,
         series_desc="sum n C(2n,n) / (4^n (2n-1)^2 (2n+1) (2n+3))",
         rhs=Div(Mul(R(3), _PI), R(256)),
-        make_stream=_stream_eq34, default_digits=15, max_terms=20000,
+        make_stream=lambda: _stream_em(_RECIPES["EQ34"]),
+        default_digits=15, max_terms=20000,
         term_oracle=_t_eq34))
     e.append(IdentityEntry(
         id="EQ35", paper_eq="35", family="asin",
         status=IdentityStatus.AS_PRINTED_OK,
         series_desc="sum (-1)^(2n+3) n C(2n,n) / (4^n (2n-1)^2 (2n+1) (2n+3))",
         rhs=Div(Mul(R(-3), _PI), R(256)),
-        make_stream=_stream_eq35, default_digits=15, max_terms=20000,
+        make_stream=lambda: _stream_em(_RECIPES["EQ35"]),
+        default_digits=15, max_terms=20000,
         term_oracle=_t_eq35,
         notes="(-1)^(2n+3) = -1 for every n, so this is the negation "
               "of the previous series termwise"))
@@ -854,7 +825,8 @@ def _entries() -> list:
         status=IdentityStatus.AS_PRINTED_OK,
         series_desc="sum n^2 C(2n,n) / (4^n (2n-1)^2 (2n+1))",
         rhs=Div(Mul(R(3), _PI), R(32)),
-        make_stream=_stream_eq36, default_digits=15, max_terms=20000,
+        make_stream=lambda: _stream_em(_RECIPES["EQ36"]),
+        default_digits=15, max_terms=20000,
         term_oracle=_t_eq36))
 
     # (37)/(38): instances of (17); printed forms inherit its typo
@@ -908,7 +880,9 @@ def _entries() -> list:
         rhs=Add(Add(Mul(R(2), _LN2), Mul(R(7, 8), _Z3)),
                 Mul(Div(_PI, R(12)),
                     Add(R(-12), Mul(_PI, Add(R(-1), Ln(R(8))))))),
-        make_stream=_stream_thm24, default_digits=15, max_terms=100000,
+        make_stream=lambda: _stream_em(_RECIPES["THM24A"],
+                                       _RECIPES["THM24B"]),
+        default_digits=15, max_terms=100000,
         term_oracle=None,
         notes="pi enters each term; the stream tracks the two rational "
               "components exactly and combines with pi/2 once"))
@@ -917,14 +891,16 @@ def _entries() -> list:
         status=IdentityStatus.AS_PRINTED_OK,
         series_desc="sum Cat_n C(2n+2,n+1) (H_2n - H_n) / 16^n",
         rhs=Mul(Div(R(16), _PI), psi_tree()),
-        make_stream=_stream_thm25a, default_digits=15, max_terms=10 ** 7,
+        make_stream=lambda: _stream_em(_RECIPES["THM25A"]),
+        default_digits=15, max_terms=10 ** 7,
         term_oracle=_t_thm25a))
     e.append(IdentityEntry(
         id="THM25B", paper_eq="thm2.5b", family="catalan",
         status=IdentityStatus.AS_PRINTED_OK,
         series_desc="sum Cat_n C(2n,n) H_2n / 16^n",
         rhs=Mul(Div(R(2), _PI), psi_star_tree()),
-        make_stream=_stream_thm25b, default_digits=15, max_terms=20000,
+        make_stream=lambda: _stream_em(_RECIPES["THM25B"]),
+        default_digits=15, max_terms=20000,
         term_oracle=_t_thm25b))
     e.append(IdentityEntry(
         id="THM26", paper_eq="thm2.6", family="binomial",
@@ -932,14 +908,16 @@ def _entries() -> list:
         series_desc="sum 1024 n / (3 (2n-1)^2 (2n+1) (2n+3)^2) "
                     "* C(2n,n)/C(2n+2,n+1)",
         rhs=_Z2,
-        make_stream=_stream_thm26, default_digits=15, max_terms=10 ** 4,
+        make_stream=lambda: _stream_em(_RECIPES["THM26"]),
+        default_digits=15, max_terms=10 ** 4,
         term_oracle=_t_thm26))
     e.append(IdentityEntry(
         id="THM27", paper_eq="thm2.7", family="binomial",
         status=IdentityStatus.AS_PRINTED_OK,
         series_desc="sum n^2 C(2n,n)^2 / (16^n (2n-1)^2 (2n+1))",
         rhs=Add(Div(_G, Mul(R(4), _PI)), Div(R(1), Mul(R(8), _PI))),
-        make_stream=_stream_thm27, default_digits=15, max_terms=10 ** 7,
+        make_stream=lambda: _stream_em(_RECIPES["THM27"]),
+        default_digits=15, max_terms=10 ** 7,
         term_oracle=_t_thm27))
     return e
 

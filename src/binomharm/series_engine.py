@@ -1,16 +1,19 @@
 """Series summation engine: term streams, tail bounds, rigorous sums.
 
 A :class:`TermStream` produces the terms of one series exactly, as
-``Fraction`` or ``SurdQ5`` values, through simple first-order
-recurrences (term ratios, incremental harmonic updates).  Two streams
-exist: :class:`HarmonicStream`, t_n = U_n D_n with U by an exact ratio
-times a point of Q or Q(sqrt5), and the composite :class:`Thm24Stream`
-built from two of them.  Exact iteration (``iter_exact``,
-``partial_sum_exact``) is the reference route for tests; the hypothesis
-replay reads exact step ratios (``HarmonicStream.step_factors``);
-``partial_sum`` runs one fixed-point kernel for every stream: integers
-at scale 2^p with explicit ulp error counters, an irrational point held
-as one such integer.
+``Fraction`` or ``SurdQ5`` values.  :class:`HarmonicStream` holds every
+series as data: t_n = U_n D_n with U_{n+1} = U_n x A(n)/B(n) for a
+point x of Q or Q(sqrt5) and integer polynomials A, B given as
+ascending coefficient tuples, and D the harmonic factor of a kind in
+:data:`HARMONIC_KINDS`, the one table of D_first and of the increment
+D_{n+1} - D_n as a pair of integer polynomials.  The composite
+:class:`Thm24Stream` is built from two of them.  Exact iteration
+(``iter_exact``, ``partial_sum_exact``) is the reference route for
+tests; the hypothesis replay reads exact step ratios
+(``HarmonicStream.step_factors``); ``partial_sum`` runs one fixed-point
+kernel for every stream: integers at scale 2^p with explicit ulp error
+counters, the polynomials evaluated on plain ints, an irrational point
+held as one such integer.
 
 A :class:`TailStrategy` turns a truncation point N into a rigorous
 enclosure of the discarded tail.  Three kinds exist: a geometric
@@ -35,7 +38,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from mpmath.libmp import fzero, mpf_cmp, to_rational
 
@@ -44,6 +47,8 @@ from .exact_core import SurdQ5, harmonic
 
 __all__ = [
     "SignPattern",
+    "HarmonicKind",
+    "HARMONIC_KINDS",
     "TermStream",
     "HarmonicStream",
     "Thm24Stream",
@@ -88,36 +93,49 @@ def _fraction_of(t) -> Fraction:
 
 
 # --------------------------------------------------------------------
-# Harmonic-difference state machines: first value and increment of D_n
+# Harmonic-difference kinds: first value and increment of D_n
 # --------------------------------------------------------------------
 
-def _d_first(kind: str) -> Fraction:
-    return {
-        "1": Fraction(1),                 # the trivial factor
-        "H": Fraction(1),                 # H_1
-        "HD": Fraction(1, 2),             # H_2 - H_1
-        "HDM": Fraction(0),               # H_1 - H_1
-        "H2N": Fraction(3, 2),            # H_2
-        "HD_HALF": Fraction(1),           # H_2 - H_1/2
-    }[kind]
+def _poly(c: tuple, n: int):
+    """Value at n of the polynomial with ascending coefficients c."""
+    v = 0
+    for a in reversed(c):
+        v = v * n + a
+    return v
 
 
-def _d_delta(kind: str, n: int) -> Fraction:
-    """D_{n+1} - D_n for the harmonic factor of the given kind."""
-    if kind == "1":
-        return Fraction(0)
-    if kind == "H":
-        return Fraction(1, n + 1)
-    if kind == "HD":
-        return Fraction(1, (2 * n + 1) * (2 * n + 2))
-    if kind == "HDM":
-        return (Fraction(1, 2 * n) + Fraction(1, 2 * n + 1)
-                - Fraction(1, n + 1))
-    if kind == "H2N":
-        return Fraction(1, 2 * n + 1) + Fraction(1, 2 * n + 2)
-    if kind == "HD_HALF":
-        return Fraction(1, 2 * n + 1)
-    raise ValueError(f"unknown harmonic kind {kind!r}")
+class HarmonicKind(NamedTuple):
+    """D_first and the increment D_{n+1} - D_n = num(n) / den(n)."""
+
+    first: Fraction
+    num: tuple
+    den: tuple
+
+    def delta(self, n: int) -> Fraction:
+        return Fraction(_poly(self.num, n), _poly(self.den, n))
+
+    def step_bound(self, n: int) -> Fraction:
+        """1 + delta(n) / first.  D increases (delta >= 0), so while
+        first > 0, D_n >= first and D_{n+1}/D_n <= this bound."""
+        p, q = self.first.numerator, self.first.denominator
+        den = p * _poly(self.den, n)
+        return Fraction(den + q * _poly(self.num, n), den)
+
+
+HARMONIC_KINDS = {
+    # the trivial factor D = 1
+    "1": HarmonicKind(Fraction(1), (0,), (1,)),
+    # H_n: H_1, 1/(n+1)
+    "H": HarmonicKind(Fraction(1), (1,), (1, 1)),
+    # H_2n - H_n: H_2 - H_1, 1/((2n+1)(2n+2))
+    "HD": HarmonicKind(Fraction(1, 2), (1,), (2, 6, 4)),
+    # H_{2n-1} - H_n: 0, 1/(2n) + 1/(2n+1) - 1/(n+1)
+    "HDM": HarmonicKind(Fraction(0), (1, 3), (0, 2, 6, 4)),
+    # H_2n: H_2, 1/(2n+1) + 1/(2n+2)
+    "H2N": HarmonicKind(Fraction(3, 2), (3, 4), (2, 6, 4)),
+    # H_2n - H_n/2: H_2 - H_1/2, 1/(2n+1)
+    "HD_HALF": HarmonicKind(Fraction(1), (1,), (1, 2)),
+}
 
 
 def d_value(kind: str, n: int) -> Fraction:
@@ -200,35 +218,46 @@ def _to_fixed(v, p: int) -> tuple[int, int]:
 
 @dataclass
 class HarmonicStream(TermStream):
-    """t_n = U_n * D_n; U by exact term ratio, D incremental.
+    """t_n = U_n * D_n; U by an exact step ratio, D incremental.
 
-    U_{first} = seed, U_{n+1} = U_n * point * uratio(n), with ``point``
-    an exact element of Q or Q(sqrt5).  D_n is one of the
-    harmonic-difference kinds 1 (D = 1), H, HD (H_{2n}-H_n),
+    U_first = seed and U_{n+1} = U_n * point * A(n) / B(n), with
+    ``point`` an exact element of Q or Q(sqrt5) and A, B integer
+    polynomials given as ascending coefficient tuples, B(n) != 0 for
+    n >= first_index.  D_n is the harmonic factor named by ``kind``, a
+    key of :data:`HARMONIC_KINDS`: 1 (D = 1), H, HD (H_{2n}-H_n),
     HDM (H_{2n-1}-H_n), H2N (H_{2n}), HD_HALF (H_{2n}-H_n/2).
 
     The fixed-point kernel keeps U and D as integers at scale 2^p with
-    ulp error counters.  A rational point is folded into the exact
-    rational ratio; an irrational point is one fixed-point integer
-    floor(point 2^p) with a 2-ulp error, so a Q(sqrt5) stream costs one
-    extra big-integer product per term.
+    ulp error counters and evaluates A, B and the increment of D on
+    plain ints.  A rational point p/q is folded into the step as
+    A(n) p / (B(n) q); the pair needs no reduction, since the floor
+    of u a / b and the error counter ceil(e |a| / b) depend only on
+    the value a/b once b > 0.  An irrational point is one fixed-point
+    integer floor(point 2^p) with a 2-ulp error, so a Q(sqrt5) stream
+    costs one extra big-integer product per term.
     """
 
     seed: Fraction | SurdQ5
-    uratio: Callable[[int], Fraction]
+    A: tuple
+    B: tuple
     kind: str = "1"
     point: Fraction | SurdQ5 = Fraction(1)
     sign: SignPattern = SignPattern.POSITIVE
     first_index: int = 1
 
+    def ratio(self, n: int) -> Fraction:
+        """The exact step ratio r(n) = A(n) / B(n)."""
+        return Fraction(_poly(self.A, n), _poly(self.B, n))
+
     def iter_exact(self):
         u = self.seed if isinstance(self.seed, SurdQ5) else Fraction(self.seed)
-        d = _d_first(self.kind)
+        hk = HARMONIC_KINDS[self.kind]
+        d = hk.first
         n = self.first_index
         while True:
             yield n, u * d
-            u = u * (self.point * self.uratio(n))
-            d = d + _d_delta(self.kind, n)
+            u = u * (self.point * self.ratio(n))
+            d = d + hk.delta(n)
             n += 1
 
     def step_factors(self) -> Iterator[tuple[int, Fraction, Fraction]]:
@@ -243,11 +272,12 @@ class HarmonicStream(TermStream):
         if _is_zero(self.seed):
             return
         last = _is_zero(self.point)
-        d = _d_first(self.kind)
+        hk = HARMONIC_KINDS[self.kind]
+        d = hk.first
         n = self.first_index
         while True:
-            r = self.uratio(n)
-            d_next = d + _d_delta(self.kind, n)
+            r = self.ratio(n)
+            d_next = d + hk.delta(n)
             yield n + 1, d, r * d_next
             if last or r == 0:
                 return
@@ -259,13 +289,18 @@ class HarmonicStream(TermStream):
         u, eu = _to_fixed(self.seed, p)
         if isinstance(self.point, SurdQ5):
             x, ex = _to_fixed(self.point, p)
-            ratio = self.uratio
+            xn = xd = 1
         else:
             x = None
-            point, uratio = Fraction(self.point), self.uratio
-            ratio = uratio if point == 1 else (lambda n: point * uratio(n))
+            point = Fraction(self.point)
+            xn, xd = point.numerator, point.denominator
+        A, B = self.A, self.B
+        if not all(isinstance(c, int) for c in A + B):
+            # a float would flow through u a // b and void the error count
+            raise TypeError("the step ratio needs integer coefficients")
+        first, dnum, dden = HARMONIC_KINDS[self.kind]
         trivial = self.kind == "1"
-        d, ed = _to_fixed(_d_first(self.kind), p)
+        d, ed = _to_fixed(first, p)
         s, es = 0, 0
         t, et = 0, 0
         n = self.first_index
@@ -280,13 +315,13 @@ class HarmonicStream(TermStream):
             if x is not None:
                 eu = ((abs(u) * ex + abs(x) * eu + eu * ex) >> p) + 2
                 u = (u * x) >> p
-            r = ratio(n)
-            a, b = r.numerator, r.denominator
+            a, b = _poly(A, n) * xn, _poly(B, n) * xd
+            if b < 0:
+                a, b = -a, -b
             u = u * a // b
             eu = (eu * abs(a) + b - 1) // b + 1
             if not trivial:
-                dd = _d_delta(self.kind, n)
-                d += (dd.numerator << p) // dd.denominator
+                d += (_poly(dnum, n) << p) // _poly(dden, n)
                 ed += 1
             n += 1
         return _fixed_to_ball(s, es, p, prec), _fixed_to_ball(t, et, p, prec)
@@ -297,30 +332,16 @@ class Thm24Stream(TermStream):
     """Composite stream t_n = U_n D_n (pi/2 - W_n).
 
     U_n = Cat(n) / (4^n (2n+1)), D_n = H_{2n} - H_n/2,
-    W_n = (2n)!! / (2n+1)!!.  The two rational sums Sa = sum U D and
-    Sb = sum U D W are kept apart as two harmonic streams, so pi enters
-    exactly once, at combination time.
+    W_n = (2n)!! / (2n+1)!!.  The two rational sums Sa = sum U D
+    (stream ``sa``) and Sb = sum U D W (stream ``sb``) are kept apart
+    as two harmonic streams, so pi enters exactly once, at combination
+    time.
     """
 
+    sa: HarmonicStream
+    sb: HarmonicStream
     sign: SignPattern = SignPattern.POSITIVE
     first_index: int = 1
-
-    @staticmethod
-    def uratio(n: int) -> Fraction:
-        return Fraction((2 * n + 1) ** 2, 2 * (n + 2) * (2 * n + 3))
-
-    @staticmethod
-    def wratio(n: int) -> Fraction:
-        return Fraction(2 * n + 2, 2 * n + 3)
-
-    def __post_init__(self):
-        # U_1 = 1/12 and U_1 W_1 = 1/18
-        self.sa = HarmonicStream(seed=Fraction(1, 12), uratio=self.uratio,
-                                 kind="HD_HALF")
-        self.sb = HarmonicStream(
-            seed=Fraction(1, 18),
-            uratio=lambda n: self.uratio(n) * self.wratio(n),
-            kind="HD_HALF")
 
     def iter_exact(self):
         # Terms involve pi and are not exact; exact iteration yields the

@@ -1,11 +1,12 @@
 """Euler-Maclaurin tail enclosures for the slowly convergent series."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from binomharm import _emtail, registry
-from binomharm.exact_core import central_binomial
+from binomharm.exact_core import central_binomial, harmonic
 from binomharm.series_engine import AsymptoticTail, d_value
 
 from _frozen import RHS_REFS, Z_REFS, ZL_REFS, assert_contains
@@ -149,14 +150,22 @@ def test_recipe_terms_equal_stream_terms(eid):
         assert t == _recipe_term(strat.recipe, n), f"{eid} term {n}"
 
 
-def test_thm24_recipes_equal_stream_components():
-    stream, strat = _REG["THM24"].make_stream()
-    # exact iteration yields the rational pair (U D, U D W)
+def test_thm24_components_match_first_principles():
+    # THM24's stream is derived from its own recipes, so its two
+    # rational components are checked against the definitions instead:
+    # U D = Cat(n) / (4^n (2n+1)) (H_2n - H_n/2) and U D W with
+    # W = (2n)!! / (2n+1)!!
+    stream, _ = _REG["THM24"].make_stream()
     for n, (ud, udw) in stream.iter_exact():
         if n > 256:
             break
-        assert ud == _recipe_term(strat.recipe_a, n), f"A term {n}"
-        assert udw == _recipe_term(strat.recipe_b, n), f"B term {n}"
+        cat = math.comb(2 * n, n) // (n + 1)
+        want = (Fraction(cat, 4 ** n * (2 * n + 1))
+                * (harmonic(2 * n) - harmonic(n) / 2))
+        w = Fraction(math.prod(range(2, 2 * n + 1, 2)),
+                     math.prod(range(1, 2 * n + 2, 2)))
+        assert ud == want, f"U D term {n}"
+        assert udw == want * w, f"U D W term {n}"
 
 
 # ----------------------------------------------------------------------

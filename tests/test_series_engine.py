@@ -15,7 +15,7 @@ from binomharm.registry import (TEMPLATE_IDS, build_template_entry,
                                 make_registry)
 from binomharm.series_engine import (GeometricTail, HarmonicStream,
                                      PrecisionNotReached, SignPattern,
-                                     TailHypothesisViolation, Thm24Stream,
+                                     TailHypothesisViolation,
                                      _run_checks, d_value,
                                      empirical_tail_check, sum_to_precision)
 
@@ -33,7 +33,8 @@ def contains(b, v: Fraction) -> bool:
 
 def geometric_stream(q: Fraction) -> HarmonicStream:
     sign = SignPattern.POSITIVE if q > 0 else SignPattern.ALTERNATING
-    return HarmonicStream(seed=q, uratio=lambda n: q, kind="1", sign=sign)
+    return HarmonicStream(seed=q, A=(q.numerator,), B=(q.denominator,),
+                          kind="1", sign=sign)
 
 
 def geometric_tail(q: Fraction) -> GeometricTail:
@@ -71,13 +72,18 @@ def test_pure_ratio_exact_partials():
 
 @given(st.integers(min_value=1, max_value=120))
 def test_fixed_route_contains_exact_sum(N):
-    s = HarmonicStream(seed=Fraction(1, 6),
-                       uratio=lambda n: Fraction((2 * n + 1) ** 2,
-                                                 (2 * n + 2) * (2 * n + 3)),
+    # (2n+1)^2 / ((2n+2)(2n+3))
+    s = HarmonicStream(seed=Fraction(1, 6), A=(1, 4, 4), B=(6, 10, 4),
                        kind="HD")
     total, last = s.partial_sum(N, 150)
     assert contains(total, s.partial_sum_exact(N))
     assert contains(last, s.term(N))
+
+
+def test_kernel_rejects_inexact_coefficients():
+    s = HarmonicStream(seed=Fraction(1, 3), A=(1 / 3,), B=(1,))
+    with pytest.raises(TypeError):
+        s.partial_sum(10, 100)
 
 
 def _fine_interval(v, prec):
@@ -218,7 +224,7 @@ def test_mixed_type_first_step_is_checked():
     # and the step between them must be decided like every other one
     stream = HarmonicStream(seed=Fraction(1),
                             point=substitution_point("FIB", 1),
-                            uratio=lambda n: Fraction(1))
+                            A=(1,), B=(1,))
     tight = GeometricTail(step_env=lambda n: Fraction(1, 100),
                           sup_env=lambda n: Fraction(1, 100))
     with pytest.raises(TailHypothesisViolation, match=r"at n=2\b"):
@@ -232,12 +238,12 @@ def _sound_tail():
 
 @pytest.mark.parametrize("stream, tail", [
     # no exact step ratios
-    (Thm24Stream(), _sound_tail()),
+    (make_registry()["THM24"].make_stream()[0], _sound_tail()),
     # an inexact envelope
     (geometric_stream(Fraction(1, 3)),
      GeometricTail(step_env=lambda n: 0.5, sup_env=lambda n: Fraction(1, 2))),
     # an inexact term ratio
-    (HarmonicStream(seed=Fraction(1, 3), uratio=lambda n: 1 / 3),
+    (HarmonicStream(seed=Fraction(1, 3), A=(1 / 3,), B=(1,)),
      _sound_tail()),
 ], ids=["thm24-stream", "float-envelope", "float-ratio"])
 def test_undecidable_replay_raises(stream, tail):

@@ -1,15 +1,17 @@
 """Verdict classification, report shape, and run-to-run determinism."""
 
 import dataclasses
+import json
 import multiprocessing
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from binomharm import registry
 from binomharm.ball_arith import Ball
 from binomharm.registry import build_template_entry, make_registry
-from binomharm.series_engine import GeometricTail, Thm24Stream
+from binomharm.series_engine import GeometricTail
 from binomharm.verifier import (DIGITS_ENV_VAR, agreed_digits,
                                 verify_all, verify_identity)
 
@@ -170,6 +172,31 @@ def test_verify_all_summary_on_subset():
     assert s["ok"] is True
 
 
+_FROZEN_OUTPUT = (Path(__file__).parent / "fixtures"
+                  / "verify_all_default.json")
+
+
+def test_verify_all_matches_frozen_output(monkeypatch):
+    """The whole catalog at default digits, minus ``wall_time``, is
+    byte-identical to the frozen output: no ``n_terms``, ``series_mid``,
+    ``agreed_digits`` or verdict may change silently.  A change that is
+    meant to move it regenerates the fixture with
+
+        PYTHONPATH=src python -c "import json; \\
+        from binomharm.verifier import verify_all; r = verify_all(); \\
+        [rep.pop('wall_time') for rep in r['reports']]; \\
+        print(json.dumps(r, indent=2))" > tests/fixtures/verify_all_default.json
+
+    and announces the regeneration, with the fields that moved, in
+    CHANGES.md.
+    """
+    monkeypatch.delenv(DIGITS_ENV_VAR, raising=False)
+    out = verify_all()
+    for rep in out["reports"]:
+        del rep["wall_time"]
+    assert json.dumps(out, indent=2) + "\n" == _FROZEN_OUTPUT.read_text()
+
+
 def test_verify_all_rejects_unknown_id():
     with pytest.raises(KeyError):
         verify_all(ids=["EQ6", "NOPE"])
@@ -191,8 +218,14 @@ def test_parallel_reports_match_serial():
 # fault containment: one broken entry must not cost the other reports
 
 
-def _broken_stream():
-    raise RuntimeError("stream factory exploded")
+_REAL_STREAM_EM = registry._stream_em
+
+
+def _broken_stream(*recipes):
+    # the one stream factory fails for EQ34's recipe only
+    if recipes[0] is registry._RECIPES["EQ34"]:
+        raise RuntimeError("stream factory exploded")
+    return _REAL_STREAM_EM(*recipes)
 
 
 @pytest.mark.parametrize("workers", [
@@ -203,7 +236,7 @@ def _broken_stream():
 ])
 def test_exception_in_one_entry_is_contained(monkeypatch, workers):
     clean = verify_all(ids=SUBSET, digits=15, workers=1)
-    monkeypatch.setattr(registry, "_stream_eq34", _broken_stream)
+    monkeypatch.setattr(registry, "_stream_em", _broken_stream)
     out = verify_all(ids=SUBSET, digits=15, workers=workers)
 
     def strip(rep):
@@ -227,8 +260,9 @@ def test_undecidable_replay_is_inconclusive():
     # cannot be replayed; the entry must not pass unchecked
     tail = GeometricTail(step_env=lambda n: Fraction(1, 2),
                          sup_env=lambda n: Fraction(1, 2))
+    stream = REG["THM24"].make_stream()[0]
     entry = dataclasses.replace(REG["THM24"],
-                                make_stream=lambda: (Thm24Stream(), tail))
+                                make_stream=lambda: (stream, tail))
     rep = verify_identity(entry, digits=15)
     assert rep["verdict"] == "INCONCLUSIVE"
     assert rep["ok"] is False
