@@ -309,13 +309,11 @@ def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
             kind = _CAT_KIND[name]
             stream = HarmonicStream(seed=x, A=(2, 4), B=(2, 1), point=x,
                                     kind=kind, sign=_sign_of(x))
-        # step_env(n) = q0 (r(n)/4) henv(n): the bound 4|x| <= q0 on
-        # |x|, r(n)/4 < 1 from the binomial or Catalan ratio, and the
-        # harmonic factor's own step
-        henv, q4 = harmonic_step_envelope(kind), q0 / 4
-        strategy = GeometricTail(
-            step_env=lambda n: q4 * stream.ratio(n) * henv(n),
-            sup_env=lambda N: q0 * henv(N))
+        # |x| r(n) henv(n) <= q0 henv(N) for n >= N: r(n)/4 < 1 for the
+        # binomial or Catalan ratio, and the harmonic factor's own step
+        # bound henv decreases
+        henv = harmonic_step_envelope(kind)
+        strategy = GeometricTail(sup_env=lambda N: q0 * henv(N))
         return stream, strategy
 
     if name in ("GF_EQ28", "GF_EQ29", "GF_EQ30"):
@@ -334,10 +332,8 @@ def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
             # (n+1) (2n-1)^2 / (2n^2 (2n+3))
             seed, A, B = x / 3, (1, -3, 0, 4), (0, 0, 6, 4)
         stream = HarmonicStream(seed=seed, A=A, B=B, point=x2, sign=sign)
-        strategy = GeometricTail(
-            step_env=lambda n: x2 * abs(stream.ratio(n)),
-            sup_env=lambda N: x2)
-        return stream, strategy
+        # each ratio above is below 1
+        return stream, GeometricTail(sup_env=lambda N: x2)
 
     if name == "GF_SHIFTED":
         # C(2m+k+2, m+1) / C(2m+k, m)
@@ -356,10 +352,7 @@ def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
                        default=Fraction(1))
             return q0 * max(Fraction(1), hump)
 
-        strategy = GeometricTail(
-            step_env=lambda m: q0 * coef(m),
-            sup_env=sup_env)
-        return stream, strategy
+        return stream, GeometricTail(sup_env=sup_env)
 
     raise KeyError(name)
 
@@ -394,8 +387,8 @@ def family_stream(family: str, r: int, kind: str):
     if clo <= 1:
         raise DomainError("family point must have c > 1")
     q0 = Fraction(1) / clo
-    henv, q4 = harmonic_step_envelope(kind), q0 / 4
-    strategy = GeometricTail(
-        step_env=lambda n: q4 * stream.ratio(n) * henv(n),
-        sup_env=lambda N: q0 * henv(N))
+    henv = harmonic_step_envelope(kind)
+    # the tail proves q0/4 >= |x| exactly
+    strategy = GeometricTail(sup_env=lambda N: q0 * henv(N),
+                             point_bound=q0 / 4)
     return stream, strategy

@@ -20,7 +20,6 @@ how many tree nodes separate them from the corrected form.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -30,6 +29,7 @@ from .exact_core import (SurdQ5, catalan_number,
                          central_binomial, fib, harmonic, lucas)
 from .genfunc import (family_stream, gf_series_stream, gf_term,
                       substitution_point)
+from .intpoly import pmul, reduce_ratio, taylor_shift
 from .series_engine import (AsymptoticTail, HarmonicStream, SignPattern,
                             Thm24Stream, Thm24Tail, d_value)
 from ._emtail import EmRecipe
@@ -499,36 +499,19 @@ _RECIPES = {
 }
 
 
-def _shift1(f: tuple) -> tuple:
-    """Coefficients of f(n+1), f ascending."""
-    return tuple(sum(c * math.comb(i, k) for i, c in enumerate(f))
-                 for k in range(len(f)))
-
-
-def _pmul(*fs: tuple) -> tuple:
-    """Coefficients of the product of polynomials, all ascending."""
-    out = (1,)
-    for f in fs:
-        prod = [0] * (len(out) + len(f) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(f):
-                prod[i + j] += a * b
-        out = tuple(prod)
-    return out
-
-
 def _em_terms(recipe: EmRecipe) -> HarmonicStream:
     """The stream whose terms are the recipe's, from n = 1.
 
     b(n+1)/b(n) = (2n+1)/(2n+2) and b(1) = 1/2, so the step ratio is
-    P(n+1) Q(n) (2n+1)^e / (P(n) Q(n+1) (2n+2)^e) and the seed is
-    scale P(1) / (Q(1) 2^e).
+    P(n+1) Q(n) (2n+1)^e / (P(n) Q(n+1) (2n+2)^e), kept in lowest terms,
+    and the seed is scale P(1) / (Q(1) 2^e).
     """
     P, Q, e = recipe.P, recipe.Q, recipe.e
+    A, B = reduce_ratio(pmul(taylor_shift(P, 1), Q, *[(1, 2)] * e),
+                        pmul(P, taylor_shift(Q, 1), *[(2, 2)] * e))
     return HarmonicStream(
         seed=recipe.scale * Fraction(sum(P), sum(Q) * 2 ** e),
-        A=_pmul(_shift1(P), Q, *[(1, 2)] * e),
-        B=_pmul(P, _shift1(Q), *[(2, 2)] * e),
+        A=A, B=B,
         kind=recipe.dkind,
         sign=(SignPattern.POSITIVE if recipe.scale > 0
               else SignPattern.NEGATIVE))

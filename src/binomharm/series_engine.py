@@ -9,27 +9,25 @@ ascending coefficient tuples, and D the harmonic factor of a kind in
 D_{n+1} - D_n as a pair of integer polynomials.  The composite
 :class:`Thm24Stream` is built from two of them.  Exact iteration
 (``iter_exact``, ``partial_sum_exact``) is the reference route for
-tests; the hypothesis replay reads exact step ratios
-(``HarmonicStream.step_factors``); ``partial_sum`` runs one fixed-point
-kernel for every stream: integers at scale 2^p with explicit ulp error
-counters, the polynomials evaluated on plain ints, an irrational point
-held as one such integer.
+tests; ``partial_sum`` runs one fixed-point kernel for every stream:
+integers at scale 2^p with explicit ulp error counters, the polynomials
+evaluated on plain ints, an irrational point held as one such integer.
 
 A :class:`TailStrategy` turns a truncation point N into a rigorous
 enclosure of the discarded tail.  Three kinds exist: a geometric
 envelope, an Euler-Maclaurin asymptotic expansion (the only one able to
 certify 15+ digits for the n^{-3/2}- and n^{-2}-type series), and the
-composite Euler-Maclaurin tail of Theorem 2.4.  Declared ratio
-envelopes are re-checked exactly at runtime on the steps the stream
-actually takes, n <= min(160, max_terms); a violation raises
-:class:`TailHypothesisViolation`.  The replay works on exact step
-ratios rather than on exact terms: a harmonic stream has
-t_n = U_{n-1} point r(n-1) D_n, so while U_{n-1} != 0 dividing it out
-turns |t_n| <= env(n-1) |t_{n-1}| into the equivalent
-|point| |r(n-1) D_n| <= env(n-1) |D_{n-1}|.  That needs rational
-arithmetic on D and r only, plus at most one exact sign in Q(sqrt5),
-and never the fast-growing U_n.  A stream or value the replay cannot
-decide exactly raises instead of passing.
+composite Euler-Maclaurin tail of Theorem 2.4.
+
+A geometric tail at N is proven, not sampled: before it returns a ball,
+:meth:`GeometricTail.tail_ball` proves |t_{n+1}| <= Q |t_n| for every
+integer n >= N, with Q = sup_env(N), and the stream's declared sign
+pattern for every n >= first_index.  Each claim is the sign of one
+integer polynomial read off the stream's A/B tuples, its harmonic kind
+and a rational bound on |x|, decided exactly by
+:func:`intpoly.first_negative`.  A failed claim raises
+:class:`TailHypothesisViolation` with the least failing n; a stream or
+value the proof cannot read exactly raises TypeError instead of passing.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from mpmath.libmp import fzero, mpf_cmp, to_rational
 
 from .ball_arith import Ball, ConstantName, constant, _fixed_to_ball, _up
 from .exact_core import SurdQ5, harmonic
+from .intpoly import first_negative, lead_sign, padd, peval, pmul, pscale
 
 __all__ = [
     "SignPattern",
@@ -96,14 +95,6 @@ def _fraction_of(t) -> Fraction:
 # Harmonic-difference kinds: first value and increment of D_n
 # --------------------------------------------------------------------
 
-def _poly(c: tuple, n: int):
-    """Value at n of the polynomial with ascending coefficients c."""
-    v = 0
-    for a in reversed(c):
-        v = v * n + a
-    return v
-
-
 class HarmonicKind(NamedTuple):
     """D_first and the increment D_{n+1} - D_n = num(n) / den(n)."""
 
@@ -112,14 +103,14 @@ class HarmonicKind(NamedTuple):
     den: tuple
 
     def delta(self, n: int) -> Fraction:
-        return Fraction(_poly(self.num, n), _poly(self.den, n))
+        return Fraction(peval(self.num, n), peval(self.den, n))
 
     def step_bound(self, n: int) -> Fraction:
         """1 + delta(n) / first.  D increases (delta >= 0), so while
         first > 0, D_n >= first and D_{n+1}/D_n <= this bound."""
         p, q = self.first.numerator, self.first.denominator
-        den = p * _poly(self.den, n)
-        return Fraction(den + q * _poly(self.num, n), den)
+        den = p * peval(self.den, n)
+        return Fraction(den + q * peval(self.num, n), den)
 
 
 HARMONIC_KINDS = {
@@ -196,10 +187,6 @@ class TermStream:
         return self._fixed_sum(N, prec)
 
 
-def _is_zero(v) -> bool:
-    return v.is_zero() if isinstance(v, SurdQ5) else v == 0
-
-
 def _to_fixed(v, p: int) -> tuple[int, int]:
     """(m, e): m * 2^-p is within e * 2^-p of the exact value v.
 
@@ -247,7 +234,7 @@ class HarmonicStream(TermStream):
 
     def ratio(self, n: int) -> Fraction:
         """The exact step ratio r(n) = A(n) / B(n)."""
-        return Fraction(_poly(self.A, n), _poly(self.B, n))
+        return Fraction(peval(self.A, n), peval(self.B, n))
 
     def iter_exact(self):
         u = self.seed if isinstance(self.seed, SurdQ5) else Fraction(self.seed)
@@ -258,30 +245,6 @@ class HarmonicStream(TermStream):
             yield n, u * d
             u = u * (self.point * self.ratio(n))
             d = d + hk.delta(n)
-            n += 1
-
-    def step_factors(self) -> Iterator[tuple[int, Fraction, Fraction]]:
-        """Exact step ratios: (n, D_{n-1}, r(n-1) D_n) for n > first_index.
-
-        Since U_n = U_{n-1} point r(n-1), each step has
-        |t_n| / |t_{n-1}| = |point| |r(n-1) D_n| / |D_{n-1}| as long as
-        U_{n-1} != 0.  The steps stop once U vanishes (a zero seed,
-        point or ratio): every later term is zero, so every later step
-        holds for any envelope.
-        """
-        if _is_zero(self.seed):
-            return
-        last = _is_zero(self.point)
-        hk = HARMONIC_KINDS[self.kind]
-        d = hk.first
-        n = self.first_index
-        while True:
-            r = self.ratio(n)
-            d_next = d + hk.delta(n)
-            yield n + 1, d, r * d_next
-            if last or r == 0:
-                return
-            d = d_next
             n += 1
 
     def _fixed_sum(self, N: int, prec: int):
@@ -315,13 +278,13 @@ class HarmonicStream(TermStream):
             if x is not None:
                 eu = ((abs(u) * ex + abs(x) * eu + eu * ex) >> p) + 2
                 u = (u * x) >> p
-            a, b = _poly(A, n) * xn, _poly(B, n) * xd
+            a, b = peval(A, n) * xn, peval(B, n) * xd
             if b < 0:
                 a, b = -a, -b
             u = u * a // b
             eu = (eu * abs(a) + b - 1) // b + 1
             if not trivial:
-                d += (_poly(dnum, n) << p) // _poly(dden, n)
+                d += (peval(dnum, n) << p) // peval(dden, n)
                 ed += 1
             n += 1
         return _fixed_to_ball(s, es, p, prec), _fixed_to_ball(t, et, p, prec)
@@ -375,7 +338,6 @@ def _signed_tail_ball(bound_hi: Fraction, sign: SignPattern, prec: int) -> Ball:
 
 class TailStrategy:
     kind = "abstract"
-    has_runtime_check = True
 
     def tail_ball(self, stream: TermStream, N: int, prec: int,
                   t_last: Optional[Ball]) -> Optional[Ball]:
@@ -386,78 +348,117 @@ class TailStrategy:
         """Predetermined N when the strategy can solve for it, else None."""
         return None
 
-    def check_step(self, n: int, scale, prev, cur) -> None:
-        """Raise TailHypothesisViolation on a definite hypothesis breach.
 
-        The step from index n-1 to n has the exact ratio
-        |t_n / t_{n-1}| = scale |cur| / |prev|, with ``scale`` >= 0 in Q
-        or Q(sqrt5) and ``prev``, ``cur`` rational (see
-        :meth:`HarmonicStream.step_factors`).
-        """
+def _exact_sign(v) -> int:
+    """Sign of an exact value of Q or Q(sqrt5); TypeError otherwise."""
+    if isinstance(v, SurdQ5):
+        return v.sign()
+    if isinstance(v, (int, Fraction)):
+        return (v > 0) - (v < 0)
+    raise TypeError(f"the sign of a {type(v).__name__} cannot be decided "
+                    f"exactly")
 
 
-def _is_rational(v) -> bool:
-    return isinstance(v, (int, Fraction))
+def _holds_from(c: tuple, N: int, claim: str) -> None:
+    """Prove c(n) >= 0 for every integer n >= N, or raise the least
+    integer where it fails."""
+    n = first_negative(c, N)
+    if n is not None:
+        raise TailHypothesisViolation(f"{claim} fails at n={n}")
 
 
 @dataclass
 class GeometricTail(TailStrategy):
-    """|t_{n+1}| <= step_env(n) |t_n| with sup_{n>=N} step_env(n) <= sup_env(N).
+    """|t_{n+1}| <= Q |t_n| for every n >= N, with Q = sup_env(N) < 1.
 
-    Tail bound: |t_N| Q / (1 - Q) at Q = sup_env(N) < 1.
+    Tail bound: |t_N| Q / (1 - Q), centred on [0, b] or [-b, 0] when the
+    stream declares its terms POSITIVE or NEGATIVE.
 
-    The step envelope is replayed exactly on the stream's step ratios:
-    step n holds iff scale |cur| <= step_env(n-1) |prev|, which for a
-    harmonic stream (scale = |point|, prev = D_{n-1}, cur = r(n-1) D_n)
-    is |t_n| <= step_env(n-1) |t_{n-1}| with the common nonzero factor
-    |U_{n-1}| divided out.  Both sides are cross-multiplied, so
-    D_{n-1} = 0 is decided too; an irrational scale costs one exact
-    sign in Q(sqrt5), that of q - scale with q rational.  A value that
-    is not exact raises TypeError instead of passing unchecked.
+    :meth:`tail_ball` returns a ball only once both hypotheses are
+    proven for every integer n, with no cap on n.  For a harmonic stream
+    t_{n+1} / t_n = x A(n)/B(n) D_{n+1}/D_n.  With D_first = p/q > 0 and
+    increment delta = num/den >= 0 (num >= 0, den >= 1 from n =
+    first_index on), D increases, so D_{n+1}/D_n <= 1 + delta(n)/D_first.
+    With xbar >= |x| rational, and A and B each of one sign on [N, inf)
+    with B != 0, the step claim follows from
+
+        Q.num xbar.den |B(n)| p den(n)
+            - Q.den xbar.num |A(n)| (p den(n) + q num(n)) >= 0,
+
+    one integer polynomial decided for all n >= N.  A POSITIVE (NEGATIVE)
+    declaration is proven from seed > 0 (< 0), x > 0, A(n) B(n) > 0 for
+    n >= first_index, and D > 0.
+
+    ``point_bound`` is xbar; a rational point may leave it None (xbar =
+    |x|), an irrational one must give it, and xbar >= |x| is then
+    decided by one exact sign in Q(sqrt5).
     """
 
-    step_env: Callable[[int], Fraction]
     sup_env: Callable[[int], Fraction]
+    point_bound: Optional[Fraction] = None
     kind = "geometric"
 
     def tail_ball(self, stream, N, prec, t_last):
         q = self.sup_env(N)
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"sup_env({N}) is a {type(q).__name__}, not an "
+                            f"exact rational")
         if q >= 1:
             return None
+        self._prove(stream, N, Fraction(q))
         t_hi = _fraction_of(t_last.abs_hi())
         bound = t_hi * q / (1 - q)
         return _signed_tail_ball(bound, stream.sign, prec)
 
-    def check_step(self, n, scale, prev, cur):
-        env = self.step_env(n - 1)
-        if not (_is_rational(env) and _is_rational(prev)
-                and _is_rational(cur)):
-            raise TypeError(
-                f"step {n} cannot be decided exactly: envelope "
-                f"{type(env).__name__}, factors {type(prev).__name__} "
-                f"and {type(cur).__name__}")
-        # scale |cur| <= env |prev| times the positive denominators of
-        # cur, env and prev: scale lhs <= rhs with integers lhs >= 0, rhs
-        lhs = abs(cur.numerator) * env.denominator * prev.denominator
-        rhs = env.numerator * abs(prev.numerator) * cur.denominator
-        if isinstance(scale, SurdQ5):
-            # lhs (a + b sqrt5) <= rhs times the denominators of a and b,
-            # decided by one exact sign in Q(sqrt5)
-            a, b = scale.a, scale.b
-            gap = SurdQ5(
-                Fraction((rhs * a.denominator - lhs * a.numerator)
-                         * b.denominator),
-                Fraction(-lhs * b.numerator * a.denominator))
-            ok = gap.sign() >= 0
-        elif _is_rational(scale):
-            ok = scale.numerator * lhs <= rhs * scale.denominator
-        else:
-            raise TypeError(f"step {n} cannot be decided exactly: point "
-                            f"scale {type(scale).__name__}")
-        if not ok:
+    def _xbar(self, point) -> Fraction:
+        """A proven rational bound xbar >= |point|."""
+        xbar = self.point_bound
+        if xbar is None:
+            if not isinstance(point, (int, Fraction)):
+                raise TypeError(f"a {type(point).__name__} point needs a "
+                                f"rational point_bound")
+            return abs(Fraction(point))
+        if not isinstance(xbar, (int, Fraction)):
+            raise TypeError(f"point_bound is a {type(xbar).__name__}, not an "
+                            f"exact rational")
+        if _exact_sign(xbar - abs(point)) < 0:
+            raise TailHypothesisViolation(f"point bound {xbar} is below "
+                                          f"|x| = {abs(point)}")
+        return Fraction(xbar)
+
+    def _prove(self, stream, N: int, Q: Fraction) -> None:
+        if not isinstance(stream, HarmonicStream):
+            raise TypeError(f"{type(stream).__name__} has no exact step "
+                            f"ratios to prove a geometric tail on")
+        A, B, first = stream.A, stream.B, stream.first_index
+        d_first, num, den = HARMONIC_KINDS[stream.kind]
+        p, q = d_first.numerator, d_first.denominator
+        if p <= 0:
+            raise TypeError(f"harmonic kind {stream.kind!r} starts at D = "
+                            f"{d_first}, so D_(n+1)/D_n has no bound")
+        _holds_from(num, first, "the harmonic increment's numerator >= 0")
+        _holds_from(padd(den, (-1,)), first,
+                    "the harmonic increment's denominator >= 1")
+        sa, sb = lead_sign(A), lead_sign(B)
+        _holds_from(pscale(sa, A), N, "A(n) of one sign")
+        _holds_from(padd(pscale(sb, B), (-1,)), N, "B(n) of one sign, nonzero")
+        xbar = self._xbar(stream.point)
+        claim = padd(
+            pscale(Q.numerator * xbar.denominator * p * sb, pmul(B, den)),
+            pscale(-Q.denominator * xbar.numerator * sa,
+                   pmul(A, padd(pscale(p, den), pscale(q, num)))))
+        _holds_from(claim, N, f"|t_(n+1)| <= {Q} |t_n|")
+
+        want = {SignPattern.POSITIVE: 1,
+                SignPattern.NEGATIVE: -1}.get(stream.sign)
+        if want is None:
+            return
+        if _exact_sign(stream.seed) != want or _exact_sign(stream.point) <= 0:
             raise TailHypothesisViolation(
-                f"geometric envelope violated at n={n}: "
-                f"|t_n| > {env} * |t_(n-1)|")
+                f"declared sign {stream.sign.value}: seed {stream.seed} of "
+                f"that sign and point {stream.point} > 0 fails at n={first}")
+        _holds_from(padd(pmul(A, B), (-1,)), first,
+                    f"declared sign {stream.sign.value}: A(n) B(n) > 0")
 
 
 @dataclass
@@ -469,7 +470,6 @@ class AsymptoticTail(TailStrategy):
 
     recipe: "object"              # _emtail.EmRecipe
     kind = "asymptotic"
-    has_runtime_check = False
     min_n: int = 32
 
     def tail_ball(self, stream, N, prec, t_last):
@@ -489,7 +489,6 @@ class Thm24Tail(TailStrategy):
     recipe_a: "object"
     recipe_b: "object"
     kind = "asymptotic-composite"
-    has_runtime_check = False
     min_n: int = 32
 
     def tail_ball(self, stream, N, prec, t_last):
@@ -522,29 +521,9 @@ def _tol_for(target_digits: int) -> Fraction:
     return Fraction(45, 100) / Fraction(10) ** target_digits
 
 
-def _run_checks(stream, strategy, upto):
-    """Replay the declared hypotheses exactly on every step n <= upto.
-
-    Each step is decided on the stream's exact step ratio
-    (:meth:`HarmonicStream.step_factors`), never on the terms themselves;
-    a stream without exact step ratios raises TypeError.
-    """
-    if not strategy.has_runtime_check:
-        return
-    if not isinstance(stream, HarmonicStream):
-        raise TypeError(f"{type(stream).__name__} has no exact step ratios "
-                        f"to replay {strategy.kind} hypotheses on")
-    scale = abs(stream.point)
-    for n, prev, cur in stream.step_factors():
-        if n > upto:
-            break
-        strategy.check_step(n, scale, prev, cur)
-
-
 def sum_to_precision(stream: TermStream, strategy: TailStrategy,
                      target_digits: int, max_terms: int = 10 ** 7,
-                     prec: Optional[int] = None,
-                     check_hypotheses: bool = True) -> SumResult:
+                     prec: Optional[int] = None) -> SumResult:
     """Enclose the series value with rad <= 0.45 * 10^-target_digits.
 
     Since the tolerance is taken relative to max(|mid|, 1) >= 1, the
@@ -565,8 +544,6 @@ def sum_to_precision(stream: TermStream, strategy: TailStrategy,
 
     planned = strategy.plan_terms(tol / 2, max_terms)
     if planned is not None:
-        if check_hypotheses:
-            _run_checks(stream, strategy, min(planned, 512, max_terms))
         N = planned
         while True:
             if N > max_terms:
@@ -582,8 +559,6 @@ def sum_to_precision(stream: TermStream, strategy: TailStrategy,
         return SumResult(value, N, prec, tail)
 
     # Geometric-style strategies: iterate with doubling checkpoints.
-    if check_hypotheses:
-        _run_checks(stream, strategy, min(160, max_terms))
     checkpoint = 16
     while True:
         N = min(checkpoint, max_terms)
@@ -608,14 +583,22 @@ def empirical_tail_check(stream: TermStream, strategy: TailStrategy,
 
     For each probe N the observed quantity |S(4N) - S(N)| must not
     definitely exceed the claimed bound for the tail at N.  Results are
-    reported, never raised; a False entry is a finding, not a crash.
+    reported, never raised; a False entry is a finding, not a crash, and
+    a tail hypothesis refuted at N is one, with its witness in ``note``.
     """
     out = []
     for N in probes:
         s1, t1 = stream.partial_sum(N, prec)
         s4, _ = stream.partial_sum(4 * N, prec)
         diff = s4 - s1
-        tail = strategy.tail_ball(stream, N, prec, t1)
+        try:
+            tail = strategy.tail_ball(stream, N, prec, t1)
+        except TailHypothesisViolation as exc:
+            out.append({"N": N, "ok": False,
+                        "observed": float(_fraction_of(diff.abs_lo())),
+                        "bound": None,
+                        "note": f"tail hypothesis violated: {exc}"})
+            continue
         if tail is None:
             out.append({"N": N, "ok": None, "observed": None, "bound": None,
                         "note": "no bound available at this N"})

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from binomharm.exact_core import SurdQ5
-from binomharm.registry import (IdentityStatus, TEMPLATE_IDS,
-                                build_template_entry, coverage_report,
-                                entry_eq17, entry_eq17_as_printed,
-                                make_registry, structural_diff)
+from binomharm.intpoly import peval, pgcd
+from binomharm.registry import (IdentityStatus, TEMPLATE_IDS, _RECIPES,
+                                _em_terms, build_template_entry,
+                                coverage_report, entry_eq17,
+                                entry_eq17_as_printed, make_registry,
+                                structural_diff)
 
 from _frozen import (RHS_REFS, THM26_PARTIAL_3, THM26_PARTIAL_5,
                      assert_contains)
@@ -176,3 +178,27 @@ def test_template_rejects_bad_input():
 def test_node_count_is_positive():
     for entry in REG.values():
         assert entry.rhs.node_count() >= 1
+
+
+# ----------------------------------------------------------------------
+# derived step ratios
+
+
+@pytest.mark.parametrize("key", sorted(_RECIPES))
+def test_recipe_step_ratio_is_reduced(key):
+    # the stream's A/B against the unreduced transcription
+    # P(n+1) Q(n) (2n+1)^e / (P(n) Q(n+1) (2n+2)^e)
+    recipe = _RECIPES[key]
+    P, Q, e = recipe.P, recipe.Q, recipe.e
+    stream = _em_terms(recipe)
+    assert pgcd(stream.A, stream.B) == (1,), key
+    for n in range(1, 257):
+        unreduced = Fraction(
+            peval(P, n + 1) * peval(Q, n) * (2 * n + 1) ** e,
+            peval(P, n) * peval(Q, n + 1) * (2 * n + 2) ** e)
+        assert stream.ratio(n) == unreduced, (key, n)
+
+
+def test_reduced_ratio_degrees():
+    assert [len(_em_terms(_RECIPES[k]).A) - 1 for k in ("THM26", "EQ36")] \
+        == [3, 3]

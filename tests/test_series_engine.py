@@ -1,5 +1,6 @@
 """Term streams, tail strategies, and rigorous summation."""
 
+import dataclasses
 import itertools
 import re
 from fractions import Fraction
@@ -15,8 +16,7 @@ from binomharm.registry import (TEMPLATE_IDS, build_template_entry,
                                 make_registry)
 from binomharm.series_engine import (GeometricTail, HarmonicStream,
                                      PrecisionNotReached, SignPattern,
-                                     TailHypothesisViolation,
-                                     _run_checks, d_value,
+                                     TailHypothesisViolation, d_value,
                                      empirical_tail_check, sum_to_precision)
 
 PREC = 200
@@ -39,7 +39,7 @@ def geometric_stream(q: Fraction) -> HarmonicStream:
 
 def geometric_tail(q: Fraction) -> GeometricTail:
     aq = abs(q)
-    return GeometricTail(step_env=lambda n: aq, sup_env=lambda n: aq)
+    return GeometricTail(sup_env=lambda n: aq)
 
 
 # ----------------------------------------------------------------------
@@ -186,37 +186,30 @@ def test_budget_exhaustion_raises_with_best_effort():
 
 
 def test_hypothesis_violation_detected():
-    # claimed envelope 1/3 but true ratio 1/2: the replay check must
-    # refuse to certify the sum
+    # claimed bound 1/3 but true ratio 1/2: the tail proof must refuse
+    # to certify the sum
     s = geometric_stream(Fraction(1, 2))
-    bad = GeometricTail(step_env=lambda n: Fraction(1, 3),
-                        sup_env=lambda n: Fraction(1, 2))
+    bad = GeometricTail(sup_env=lambda n: Fraction(1, 3))
     with pytest.raises(TailHypothesisViolation):
         sum_to_precision(s, bad, 30)
 
 
+def _last(stream, N):
+    return stream.partial_sum(N, PREC)[1]
+
+
 def test_surd_envelope_replay_is_exact():
-    # the true first ratio |t_2/t_1| lies in Q(sqrt5); envelopes within
-    # 10^-80 of it on either side are decided exactly, far below what a
-    # 120-bit ball comparison can resolve
+    # an irrational point enters the proof through a rational bound on
+    # |x|; bounds within 10^-80 of |x| on either side are decided
+    # exactly, far below what a 120-bit ball comparison can resolve
     stream, sound = family_stream("FIB", 1, "H")
-    _run_checks(stream, sound, 160)
-    ratio = stream.term(2) / stream.term(1)
-    lo, hi = Ball.from_surd(ratio, 400).to_interval_fractions()
+    lo, hi = Ball.from_surd(abs(stream.point), 400).to_interval_fractions()
     gap = Fraction(1, 10 ** 80)
-    above = GeometricTail(step_env=lambda n: hi + gap, sup_env=sound.sup_env)
-    below = GeometricTail(step_env=lambda n: lo - gap, sup_env=sound.sup_env)
-    _run_checks(stream, above, 2)
-    with pytest.raises(TailHypothesisViolation):
-        _run_checks(stream, below, 2)
-
-
-def test_checks_can_be_disabled():
-    s = geometric_stream(Fraction(1, 2))
-    bad = GeometricTail(step_env=lambda n: Fraction(1, 3),
-                        sup_env=lambda n: Fraction(1, 2))
-    res = sum_to_precision(s, bad, 30, check_hypotheses=False)
-    assert contains(res.value, Fraction(1))
+    above = GeometricTail(sup_env=sound.sup_env, point_bound=hi + gap)
+    below = GeometricTail(sup_env=sound.sup_env, point_bound=lo - gap)
+    assert above.tail_ball(stream, 16, PREC, _last(stream, 16)) is not None
+    with pytest.raises(TailHypothesisViolation, match="point bound"):
+        below.tail_ball(stream, 16, PREC, _last(stream, 16))
 
 
 def test_mixed_type_first_step_is_checked():
@@ -225,49 +218,87 @@ def test_mixed_type_first_step_is_checked():
     stream = HarmonicStream(seed=Fraction(1),
                             point=substitution_point("FIB", 1),
                             A=(1,), B=(1,))
-    tight = GeometricTail(step_env=lambda n: Fraction(1, 100),
-                          sup_env=lambda n: Fraction(1, 100))
-    with pytest.raises(TailHypothesisViolation, match=r"at n=2\b"):
-        _run_checks(stream, tight, 2)
+    tight = GeometricTail(sup_env=lambda n: Fraction(1, 100),
+                          point_bound=Fraction(1, 10))
+    with pytest.raises(TailHypothesisViolation, match=r"at n=1\b"):
+        tight.tail_ball(stream, 1, PREC, _last(stream, 1))
+
+
+def test_tail_proof_is_not_capped():
+    # t_(n+1)/t_n = n/2000 stays below 1/2 up to n = 1000 and then grows
+    # without bound: the series diverges, yet every step a sample of the
+    # first few hundred terms could see is within the claimed bound
+    stream = HarmonicStream(seed=Fraction(1), A=(0, 1), B=(2000,))
+    half = GeometricTail(sup_env=lambda n: Fraction(1, 2))
+    with pytest.raises(TailHypothesisViolation, match=r"at n=1001\b"):
+        half.tail_ball(stream, 16, PREC, _last(stream, 16))
+    with pytest.raises(TailHypothesisViolation, match=r"at n=1001\b"):
+        sum_to_precision(stream, half, 30)
+
+
+def test_false_positive_declaration_is_refused():
+    # the tail ball is centred on [0, b] by a POSITIVE declaration, so a
+    # false one must be refused, not trusted
+    wrong = dataclasses.replace(geometric_stream(Fraction(-1, 2)),
+                                sign=SignPattern.POSITIVE)
+    with pytest.raises(TailHypothesisViolation,
+                       match="declared sign positive"):
+        sum_to_precision(wrong, geometric_tail(Fraction(-1, 2)), 30)
+
+
+@pytest.mark.parametrize("declared", [SignPattern.POSITIVE,
+                                      SignPattern.NEGATIVE])
+def test_declared_sign_is_proven(declared):
+    want = 1 if declared is SignPattern.POSITIVE else -1
+    tail = geometric_tail(Fraction(1, 2))
+
+    def stream(seed_sign, a):
+        return HarmonicStream(seed=Fraction(seed_sign, 2), A=(a,), B=(2,),
+                              sign=declared)
+
+    for bad, why in ((stream(-want, 1), r"seed .* fails at n=1\b"),
+                     (stream(want, -1), r"A\(n\) B\(n\) > 0 fails at n=1\b")):
+        with pytest.raises(TailHypothesisViolation,
+                           match=f"declared sign {declared.value}.*{why}"):
+            tail.tail_ball(bad, 16, PREC, _last(bad, 16))
+    res = sum_to_precision(stream(want, 1), tail, 30)
+    assert contains(res.value, Fraction(want))
 
 
 def _sound_tail():
-    return GeometricTail(step_env=lambda n: Fraction(1, 2),
-                         sup_env=lambda n: Fraction(1, 2))
+    return GeometricTail(sup_env=lambda n: Fraction(1, 2))
 
 
 @pytest.mark.parametrize("stream, tail", [
     # no exact step ratios
     (make_registry()["THM24"].make_stream()[0], _sound_tail()),
-    # an inexact envelope
-    (geometric_stream(Fraction(1, 3)),
-     GeometricTail(step_env=lambda n: 0.5, sup_env=lambda n: Fraction(1, 2))),
-    # an inexact term ratio
+    # an inexact bound
+    (geometric_stream(Fraction(1, 3)), GeometricTail(sup_env=lambda n: 0.5)),
+    # an inexact step ratio
     (HarmonicStream(seed=Fraction(1, 3), A=(1 / 3,), B=(1,)),
      _sound_tail()),
 ], ids=["thm24-stream", "float-envelope", "float-ratio"])
 def test_undecidable_replay_raises(stream, tail):
     with pytest.raises(TypeError):
-        _run_checks(stream, tail, 160)
+        tail.tail_ball(stream, 16, PREC, Ball.from_fraction(Fraction(1), PREC))
 
 
-def _term_form_violation(terms, step_env, upto):
-    """Oracle: the first n <= upto with |t_n| > step_env(n-1) |t_{n-1}|,
+def _term_form_violation(terms, Q, N, span):
+    """Oracle: the first N <= n <= N + span with |t_(n+1)| > Q |t_n|,
     decided on the exact terms themselves, or None."""
     def surd(t):
         return t if isinstance(t, SurdQ5) else SurdQ5.from_rational(t)
 
-    for (_, t_prev), (n, t_cur) in zip(terms, terms[1:]):
-        if n > upto:
-            break
-        if (abs(surd(t_prev)) * step_env(n - 1) - abs(surd(t_cur))).sign() < 0:
+    for n in range(N, N + span + 1):
+        if (abs(surd(terms[n])) * Q - abs(surd(terms[n + 1]))).sign() < 0:
             return n
     return None
 
 
-def _ratio_form_violation(stream, strategy, upto):
+def _proof_violation(stream, strategy, N):
     try:
-        _run_checks(stream, strategy, upto)
+        assert strategy.tail_ball(stream, N, PREC, _last(stream, N)) \
+            is not None
     except TailHypothesisViolation as exc:
         return int(re.search(r"at n=(\d+)", str(exc)).group(1))
     return None
@@ -280,42 +311,43 @@ def _geometric_cases():
     return ids + [f"{t}@{r}" for t in TEMPLATE_IDS for r in (1, 2, 3, 10)]
 
 
-def _nudged(step_env, n0, value):
-    """step_env with its envelope for step n0 (argument n0 - 1) replaced."""
-    return lambda m: value if m == n0 - 1 else step_env(m)
-
-
-_REPLAY_UPTO = 160
+_PROOF_CUTS = (16, 32, 64, 128, 256)
+_REPLAY_SPAN = 160
 
 
 @pytest.mark.parametrize("case", _geometric_cases())
 def test_ratio_replay_matches_term_replay(case):
+    """The tail proof against the exact term-form replay.
+
+    At every cut N the proven Q = sup_env(N) holds on the exact terms
+    for N <= n <= N + 160, and a Q 10^-80 below the exact
+    |t_(N+1) / t_N| is refused by both, at n = N.
+    """
     if "@" in case:
         tid, r = case.split("@")
         entry = build_template_entry(tid, int(r))
     else:
         entry = make_registry()[case]
     stream, real = entry.make_stream()
-    terms = list(itertools.islice(
-        stream.iter_exact(), _REPLAY_UPTO - stream.first_index + 1))
-    by_n = dict(terms)
-    # (envelope, the step it must fail at or None)
-    envs = [(real.step_env, None)]
+    top = max(_PROOF_CUTS) + _REPLAY_SPAN + 1
+    terms = dict(itertools.islice(stream.iter_exact(),
+                                  top - stream.first_index + 1))
     gap = Fraction(1, 10 ** 80)
-    for n0 in (2, 80, _REPLAY_UPTO):
-        ratio = abs(by_n[n0] / by_n[n0 - 1])
+    for N in _PROOF_CUTS:
+        Q = real.sup_env(N)
+        assert Q < 1, case
+        assert _proof_violation(stream, real, N) is None, (case, N)
+        assert _term_form_violation(terms, Q, N, _REPLAY_SPAN) is None, \
+            (case, N)
+        ratio = abs(terms[N + 1] / terms[N])
         if isinstance(ratio, SurdQ5):
-            lo, hi = Ball.from_surd(ratio, 400).to_interval_fractions()
+            lo = Ball.from_surd(ratio, 400).to_interval_fractions()[0]
         else:
-            lo = hi = ratio
-        envs.append((_nudged(real.step_env, n0, hi + gap), None))
-        envs.append((_nudged(real.step_env, n0, lo - gap), n0))
-    for step_env, expected in envs:
-        strategy = GeometricTail(step_env=step_env, sup_env=real.sup_env)
-        oracle = _term_form_violation(terms, step_env, _REPLAY_UPTO)
-        assert oracle == expected, case
-        assert _ratio_form_violation(stream, strategy, _REPLAY_UPTO) \
-            == oracle, case
+            lo = ratio
+        low = GeometricTail(sup_env=lambda n: lo - gap,
+                            point_bound=real.point_bound)
+        assert _term_form_violation(terms, lo - gap, N, 0) == N, (case, N)
+        assert _proof_violation(stream, low, N) == N, (case, N)
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +367,9 @@ def test_empirical_tail_check_flags_unsound_bound():
     # sup_env lies by a factor 1000, so the claimed tail bound falls
     # under the observed remainder
     q = Fraction(1, 2)
-    lying = GeometricTail(step_env=lambda n: q,
-                          sup_env=lambda n: Fraction(1, 1000))
+    lying = GeometricTail(sup_env=lambda n: Fraction(1, 1000))
     rows = empirical_tail_check(geometric_stream(q), lying, probes=(32,))
     assert rows and not rows[0]["ok"]
+    # the tail proof refutes the bound at the cut, and the row says where
+    assert rows[0]["bound"] is None
+    assert "at n=32" in rows[0]["note"]

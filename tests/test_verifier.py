@@ -256,10 +256,9 @@ def test_exception_in_one_entry_is_contained(monkeypatch, workers):
 
 
 def test_undecidable_replay_is_inconclusive():
-    # a geometric envelope over a stream with no exact step ratios
-    # cannot be replayed; the entry must not pass unchecked
-    tail = GeometricTail(step_env=lambda n: Fraction(1, 2),
-                         sup_env=lambda n: Fraction(1, 2))
+    # a geometric tail over a stream with no exact step ratios cannot
+    # be proven; the entry must not pass unchecked
+    tail = GeometricTail(sup_env=lambda n: Fraction(1, 2))
     stream = REG["THM24"].make_stream()[0]
     entry = dataclasses.replace(REG["THM24"],
                                 make_stream=lambda: (stream, tail))
