@@ -15,7 +15,8 @@ JSON output only.
 
 Exit status: 0 when the requested check upholds its contract (a verify
 run where every verdict matches its expectation, an eval whose series
-check confirms the closed form), 1 when a check concludes against the
+check confirms the closed form: the two enclosures overlap and agree to
+the requested digits), 1 when a check concludes against the
 contract or cannot conclude, 2 for usage errors.
 
 Rational inputs are exact strings like ``3/16``; floating-point input is
@@ -40,7 +41,7 @@ from .registry import (IdentityStatus, TEMPLATE_IDS, build_template_entry,
                        make_registry)
 from .series_engine import (PrecisionNotReached, TailHypothesisViolation,
                             sum_to_precision)
-from .verifier import _env_digits, agreed_digits, verify_all, verify_identity
+from .verifier import _classify, _env_digits, verify_all, verify_identity
 
 __all__ = ["CliConfig", "run", "main"]
 
@@ -296,14 +297,16 @@ def _cmd_eval(cfg: CliConfig) -> int:
         note = f"series check unavailable: {exc}"
 
     agreed = 0
+    confirmed = False
     if series is not None:
-        agreed = agreed_digits(series, closed)
+        # the verifier's rule: PASS needs overlap as well as the digits
+        verdict, agreed = _classify(series, closed, digits)
+        confirmed = verdict == "PASS"
         payload["series_mid"] = series.mid_str(digits + 10)
         payload["series_rad"] = series.rad_str()
     payload["agreed_digits"] = agreed
     payload["n_terms"] = n_terms
     payload["mode"] = mode
-    confirmed = series is not None and agreed >= digits
     payload["ok"] = confirmed
     if note:
         payload["note"] = note

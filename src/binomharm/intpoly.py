@@ -24,8 +24,8 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-__all__ = ["peval", "pmul", "padd", "pscale", "taylor_shift", "lead_sign",
-           "pgcd", "reduce_ratio", "first_negative"]
+__all__ = ["peval", "pvalues", "pmul", "padd", "pscale", "taylor_shift",
+           "lead_sign", "pgcd", "reduce_ratio", "first_negative"]
 
 
 def peval(c: tuple, n):
@@ -34,6 +34,18 @@ def peval(c: tuple, n):
     for a in reversed(c):
         v = v * n + a
     return v
+
+
+def pvalues(c: tuple, n0: int, n1: int, k=1) -> list:
+    """[k c(n) for n in n0..n1]: Horner's rule run over the whole block,
+    one pass per coefficient, so the integers are those of
+    ``k * peval(c, n)``; empty when n1 < n0."""
+    ns = range(n0, n1 + 1)
+    kc = [k * a for a in c]
+    vals = [kc[-1]] * len(ns)
+    for a in reversed(kc[:-1]):
+        vals = [v * n + a for v, n in zip(vals, ns)]
+    return vals
 
 
 def pmul(*fs: tuple) -> tuple:

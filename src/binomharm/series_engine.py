@@ -21,6 +21,12 @@ probes; the balls are bit for bit those of a sum restarted at
 first_index.  On the 44 geometric sums of perfbench's ``deep_digits``
 workload at 200 digits the kernel now takes 26,336 steps, the sum of
 the reported cuts, where restarting at every checkpoint took 51,968.
+Each step reads its step-polynomial values from blocks of up to 64
+indices, evaluated by :func:`intpoly.pvalues` (Horner over the whole
+block) and clipped at the cut, in place of two ``peval`` calls per
+index, four when D is not 1; the integers, and so the balls, are the
+same.  On that workload this cut the kernel's time from about 0.104 to
+0.086 s (one cold batch at seed 1, 2-core VM).
 
 A :class:`TailStrategy` turns a truncation point N into a rigorous
 enclosure of the discarded tail.  Three kinds exist: a geometric
@@ -51,7 +57,8 @@ from mpmath.libmp import fzero, mpf_cmp, to_rational
 
 from .ball_arith import Ball, ConstantName, constant, _fixed_to_ball, _up
 from .exact_core import SurdQ5, harmonic
-from .intpoly import first_negative, lead_sign, padd, peval, pmul, pscale
+from .intpoly import (first_negative, lead_sign, padd, peval, pmul, pscale,
+                      pvalues)
 
 __all__ = [
     "SignPattern",
@@ -262,6 +269,12 @@ class HarmonicStream(TermStream):
         return _HarmonicCursor(self, prec)
 
 
+# indices per block of step-polynomial values in _HarmonicCursor.advance:
+# enough to spread the cost of each pvalues call, few enough that the
+# value lists stay small
+_BLOCK = 64
+
+
 class _HarmonicCursor:
     """The fixed-point kernel of one :class:`HarmonicStream` as a
     resumable state: U, D, the running sum S and the last term T as
@@ -269,6 +282,9 @@ class _HarmonicCursor:
     next index to add.
 
     ``advance(N)`` adds the terms up to N and returns (S, T) as balls.
+    It evaluates A(n) xn, B(n) xd and the increment of D with
+    :func:`intpoly.pvalues`, up to :data:`_BLOCK` indices per call and
+    never past N, and steps through those values one index at a time.
     The loop is deterministic, so its state after advance(N) is the one
     a loop started at first_index reaches at N: advancing through the
     cuts N1 <= N2 <= ... returns, bit for bit, what a fresh sum to each
@@ -310,25 +326,34 @@ class _HarmonicCursor:
         s, es, t, et = self.s, self.es, self.t, self.et
         n = self.n
         while n <= N:
+            # the step polynomials a block at a time, clipped at N
+            hi = min(n + _BLOCK - 1, N)
+            avals = pvalues(A, n, hi, xn)
+            bvals = pvalues(B, n, hi, xd)
             if trivial:
-                t, et = u, eu
+                nums = dens = avals  # unread: D stays 1
             else:
-                t = (u * d) >> p
-                et = ((abs(u) * ed + abs(d) * eu + eu * ed) >> p) + 2
-            s += t
-            es += et
-            if x is not None:
-                eu = ((abs(u) * ex + abs(x) * eu + eu * ex) >> p) + 2
-                u = (u * x) >> p
-            a, b = peval(A, n) * xn, peval(B, n) * xd
-            if b < 0:
-                a, b = -a, -b
-            u = u * a // b
-            eu = (eu * abs(a) + b - 1) // b + 1
-            if not trivial:
-                d += (peval(dnum, n) << p) // peval(dden, n)
-                ed += 1
-            n += 1
+                nums = pvalues(dnum, n, hi)
+                dens = pvalues(dden, n, hi)
+            for a, b, dn, dd in zip(avals, bvals, nums, dens):
+                if trivial:
+                    t, et = u, eu
+                else:
+                    t = (u * d) >> p
+                    et = ((abs(u) * ed + abs(d) * eu + eu * ed) >> p) + 2
+                s += t
+                es += et
+                if x is not None:
+                    eu = ((abs(u) * ex + abs(x) * eu + eu * ex) >> p) + 2
+                    u = (u * x) >> p
+                if b < 0:
+                    a, b = -a, -b
+                u = u * a // b
+                eu = (eu * abs(a) + b - 1) // b + 1
+                if not trivial:
+                    d += (dn << p) // dd
+                    ed += 1
+            n = hi + 1
         self.u, self.eu, self.d, self.ed = u, eu, d, ed
         self.s, self.es, self.t, self.et = s, es, t, et
         self.n = n

@@ -18,6 +18,7 @@ sound identities, FAIL for the ``*_AS_PRINTED`` transcriptions.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,25 +38,42 @@ DIGITS_ENV_VAR = "BINOMHARM_DIGITS"
 _LADDER = (0, 64, 128, 256, 512)
 
 
-def agreed_digits(x: Ball, y: Ball) -> int:
+_MAX_DIGITS = 10 ** 6
+_LOG10_2 = math.log10(2)
+
+
+def agreed_digits(x: Ball | tuple, y: Ball | tuple) -> int:
     """Decimal digits to which the two enclosures provably agree.
 
     Counts digits of the worst-case separation sup |xi - eta| over the
-    two intervals, relative to max(1, |values|); 0 when they cannot be
-    said to share even one digit.
+    two intervals, relative to max(1, |values|): the largest d >= 0 with
+    sep 10^d <= base, capped at 10^6, and 10^6 when both are the same
+    point; 0 when they cannot be said to share even one digit.  ``x`` and
+    ``y`` are balls, or their ``to_interval_fractions()`` pairs.
     """
-    xlo, xhi = x.to_interval_fractions()
-    ylo, yhi = y.to_interval_fractions()
+    xlo, xhi = x if isinstance(x, tuple) else x.to_interval_fractions()
+    ylo, yhi = y if isinstance(y, tuple) else y.to_interval_fractions()
     sep = max(xhi - ylo, yhi - xlo)
-    base = max(Fraction(1), abs(xlo), abs(xhi), abs(ylo), abs(yhi))
     if sep <= 0:
-        return 10 ** 6  # identical points; effectively exact
-    d = 0
-    scaled = sep * 10
-    while scaled <= base and d < 10 ** 6:
+        return _MAX_DIGITS  # identical points; effectively exact
+    base = max(Fraction(1), abs(xlo), abs(xhi), abs(ylo), abs(yhi))
+    num = base.numerator * sep.denominator
+    den = base.denominator * sep.numerator
+    # num/den lies in [2^(L-1), 2^(L+1)) for L the difference of the bit
+    # lengths, so the estimate is at most a step or two off; the exact
+    # comparisons multiply, since CPython divides huge ints in quadratic
+    # time
+    d = max(int((num.bit_length() - den.bit_length() - 1) * _LOG10_2), 0)
+    if d > _MAX_DIGITS:
+        return _MAX_DIGITS
+    scaled = den * 10 ** d
+    while scaled * 10 <= num:
         d += 1
         scaled *= 10
-    return d
+    while d and scaled > num:
+        d -= 1
+        scaled //= 10
+    return min(d, _MAX_DIGITS)
 
 
 def _env_digits() -> Optional[int]:
@@ -74,14 +92,15 @@ def _env_digits() -> Optional[int]:
 
 
 def _classify(series: Ball, rhs: Ball, digits: int) -> tuple[str, int]:
-    agreed = agreed_digits(series, rhs)
+    """(verdict, agreed digits): PASS needs overlap and agreed >= digits."""
+    xlo, xhi = xi = series.to_interval_fractions()
+    ylo, yhi = yi = rhs.to_interval_fractions()
+    agreed = agreed_digits(xi, yi)
     if series.overlaps(rhs):
         if agreed >= digits:
             return "PASS", agreed
         return "INCONCLUSIVE", agreed
     # disjoint: demand a gap well beyond the combined uncertainty
-    xlo, xhi = series.to_interval_fractions()
-    ylo, yhi = rhs.to_interval_fractions()
     gap = max(ylo - xhi, xlo - yhi)
     uncertainty = (xhi - xlo) + (yhi - ylo)
     if gap > 10 * uncertainty:

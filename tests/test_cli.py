@@ -1,9 +1,12 @@
 """Command-line driver: parsing, output formats, exit-code contract."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from binomharm import cli
+from binomharm.ball_arith import Ball
 from binomharm.cli import CliConfig, run, _truncate_significand
 
 
@@ -172,6 +175,23 @@ def test_eval_json_confirms_closed_form(capsys):
     assert payload["agreed_digits"] >= 25
     assert payload["ok"] is True
     assert payload["closed_mid"][:10] == payload["series_mid"][:10]
+
+
+def test_eval_refuses_disjoint_enclosures(monkeypatch, capsys):
+    # a closed form off by 8e-31 still agrees to 30 digits, but its
+    # enclosure (radius near 1e-41) misses the series enclosure
+    real = cli.gf_value
+
+    def shifted(name, x, prec, k=None):
+        off = Ball.from_fraction(Fraction(8, 10 ** 31), prec)
+        return real(name, x, prec, k=k) + off
+
+    monkeypatch.setattr(cli, "gf_value", shifted)
+    assert run(["eval", "--gf", "GF_HD", "--x", "1/8", "--digits", "30",
+                "--format", "json"]) == 1
+    payload = _json_out(capsys)
+    assert payload["agreed_digits"] >= payload["digits"] == 30
+    assert payload["ok"] is False
 
 
 def test_eval_negative_rational(capsys):

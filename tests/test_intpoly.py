@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomharm.intpoly import (first_negative, peval, pgcd, pmul,
-                               reduce_ratio, taylor_shift)
+                               pvalues, reduce_ratio, taylor_shift)
 
 _COEF = 50
 
@@ -85,3 +85,16 @@ def test_reduce_ratio_divides_out_the_gcd(f, g, h):
     for n in range(-10, 11):
         assert peval(A, n) * peval(b, n) == peval(a, n) * peval(B, n)
     assert math.gcd(*pgcd(A, B)) == math.gcd(*A, *B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=1, max_size=9),
+       st.integers(-100, 100),
+       st.one_of(st.sampled_from((0, 1)), st.integers(2, 200)),
+       st.integers(-10 ** 6, 10 ** 6))
+def test_pvalues_matches_peval(c, n0, length, k):
+    c = tuple(c)
+    n1 = n0 + length - 1
+    assert pvalues(c, n0, n1, k) == [k * peval(c, n)
+                                     for n in range(n0, n1 + 1)]
+    assert pvalues(c, n0, n1) == [peval(c, n) for n in range(n0, n1 + 1)]

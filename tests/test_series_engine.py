@@ -194,24 +194,25 @@ def test_cursor_cannot_advance_backwards(name):
 
 @pytest.mark.parametrize("digits", [10, 40, 200])
 def test_sum_to_precision_steps_each_index_once(monkeypatch, digits):
-    # a kind-"1" step evaluates A and B once each, so the kernel calls
-    # peval twice per index; restarting at each checkpoint would call it
-    # about twice as often
-    calls = []
-    real = series_engine.peval
+    # a kind-"1" step evaluates A and B once each, so the kernel's
+    # pvalues blocks cover every index twice; restarting at each
+    # checkpoint would cover it about twice as often, and a block run
+    # past the cut would cover indices beyond n_terms
+    covered = []
+    real = series_engine.pvalues
 
-    def counting(c, n):
-        calls.append(n)
-        return real(c, n)
+    def counting(c, n0, n1, k=1):
+        covered.extend(range(n0, n1 + 1))
+        return real(c, n0, n1, k)
 
-    monkeypatch.setattr(series_engine, "peval", counting)
+    monkeypatch.setattr(series_engine, "pvalues", counting)
     q = Fraction(2, 5)
     stream = geometric_stream(q)
     res = sum_to_precision(stream, geometric_tail(q), digits)
     assert res.n_terms >= 32
-    assert len(calls) == 2 * (res.n_terms - stream.first_index + 1)
-    assert sorted(set(calls)) == list(range(stream.first_index,
-                                            res.n_terms + 1))
+    assert len(covered) == 2 * (res.n_terms - stream.first_index + 1)
+    assert sorted(set(covered)) == list(range(stream.first_index,
+                                              res.n_terms + 1))
 
 
 # ----------------------------------------------------------------------

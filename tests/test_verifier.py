@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomharm import registry
 from binomharm.ball_arith import Ball
@@ -47,6 +49,76 @@ def test_agreed_digits_accounts_for_radius():
     assert agreed_digits(tight, wide) <= 3
 
 
+def _digits_by_loop(xlo, xhi, ylo, yhi) -> int:
+    """The per-digit count agreed_digits used to run: the oracle."""
+    sep = max(xhi - ylo, yhi - xlo)
+    base = max(Fraction(1), abs(xlo), abs(xhi), abs(ylo), abs(yhi))
+    if sep <= 0:
+        return 10 ** 6
+    d = 0
+    scaled = sep * 10
+    while scaled <= base and d < 10 ** 6:
+        d += 1
+        scaled *= 10
+    return d
+
+
+_small = st.fractions(min_value=-1, max_value=1, max_denominator=10 ** 6)
+
+
+@st.composite
+def _interval_pairs(draw):
+    """Two intervals (lo, hi) of Fractions around one centre: overlapping,
+    disjoint or nested, at magnitudes from 10^-30 to 10^30, with widths
+    and offsets from 10^-70 up to past the centre; or two points whose
+    separation times 10^d is exactly their magnitude."""
+    mag = Fraction(10) ** draw(st.integers(-30, 30))
+    centre = draw(_small) * mag
+    if draw(st.integers(0, 4)) == 0:
+        top = abs(centre) + 1
+        d = draw(st.integers(0, 80))
+        return (top, top), (top - top / 10 ** d, top - top / 10 ** d)
+
+    def interval():
+        scale = Fraction(10) ** -draw(st.integers(-31, 70))
+        lo = centre + draw(_small) * scale
+        return lo, lo + abs(draw(_small)) * scale
+
+    return interval(), interval()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_interval_pairs())
+def test_agreed_digits_matches_per_digit_loop(pair):
+    x, y = pair
+    assert agreed_digits(x, y) == _digits_by_loop(*x, *y)
+    assert agreed_digits(y, x) == _digits_by_loop(*y, *x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small, _small, st.integers(-30, 30), st.integers(0, 60))
+def test_agreed_digits_of_balls_matches_per_digit_loop(a, b, e, k):
+    x = _pt(a * Fraction(10) ** e, prec=300)
+    y = _pt(a * Fraction(10) ** e + b / Fraction(10) ** k, prec=300)
+    assert agreed_digits(x, y) == _digits_by_loop(
+        *x.to_interval_fractions(), *y.to_interval_fractions())
+
+
+def test_agreed_digits_cap_and_identical_points():
+    # two points 1 apart at magnitude B agree to floor(log10(B + 1))
+    # digits; integer points keep the 10^6-digit arithmetic cheap
+    for e in (10 ** 6 - 1, 10 ** 6):
+        big = Fraction(10 ** e)
+        assert agreed_digits((big, big), (big + 1, big + 1)) == e
+    # far past the cap the count stops at 10^6
+    big = Fraction(2 ** 10 ** 7)
+    assert agreed_digits((big, big), (big + 1, big + 1)) == 10 ** 6
+    # identical points agree to the cap, whatever their value
+    for q in (Fraction(3, 8), Fraction(-5, 2), Fraction(2) ** 200):
+        assert agreed_digits(_pt(q), _pt(q)) == 10 ** 6
+        assert agreed_digits((q, q), (q, q)) == 10 ** 6
+
+
 # ----------------------------------------------------------------------
 # verify_identity reports
 
@@ -79,6 +151,20 @@ def test_lucas_r1_entries_pass_at_200_digits(eid):
     assert rep["agreed_digits"] >= 200
     assert rep["n_terms"] <= 1024
     assert rep["mode"] == "fixed"
+
+
+@pytest.mark.parametrize("eid", list(REG))
+def test_perturbed_closed_form_never_passes(eid):
+    # mutation battery: the closed form times (1 + 10^-(d-3)) is off by
+    # about a thousand units of the digits the verdict demands
+    entry = REG[eid]
+    d = entry.default_digits
+    factor = registry.Rat(1 + Fraction(1, 10 ** (d - 3)))
+    scaled = registry.Mul(entry.rhs, factor)
+    rep = verify_identity(dataclasses.replace(entry, rhs=scaled), digits=d)
+    assert rep["verdict"] in ("FAIL", "INCONCLUSIVE")
+    if rep["verdict"] == "INCONCLUSIVE":
+        assert rep["reason"]
 
 
 def test_report_includes_r_for_family_instances():
