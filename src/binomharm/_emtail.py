@@ -30,19 +30,31 @@ plus an exact rational rho with |f(u) - poly(u)| <= rho u^(J+1) on the
 validity window.  All bound bookkeeping is exact rational arithmetic;
 only midpoint values live in balls.  Valid for N >= 32 (so a = N+1 >= 33).
 
-Shared work.  Every entry expands the same b(n) and the same harmonic
-asymptotics, and every tail sits at the same a = N+1, so the pure pieces
-are memoized with ``functools.lru_cache``, each keyed by its exact
-arguments and filled on first use (nothing is computed at import):
+The degree is a parameter, 1 <= J <= J_MAX = 12, and the remainder of a
+degree-J tail falls like N^-(sigma0+J).  :func:`plan` solves the cut N
+and the degree J from a tolerance, the way Johansson (Numer. Algorithms,
+2015) chooses N and M for the Hurwitz zeta function: the cheapest pair
+whose modelled radius meets it, with J >= 4 and N <= 2048, else (2048,
+12).  At 15 digits that is J = 4 at N = 468 (549 for the composite tail
+of Theorem 2.4), where every tail used to run J = 12 at N = 2048.
 
-    _bern(m)                 Bernoulli numbers, unbounded (small m only)
-    _h_series(s, prec)       h_{sn} series, D-factor building block
-    _g_series(prec)          ln(b(n) sqrt(pi n))
-    _exp_g(e, prec)          exp(e g) = (b(n) sqrt(pi n))^e
-    _d_part(kind, prec)      the harmonic factor D_kind(n)
-    build_poly(recipe, prec) the assembled coefficient polynomials
-    z_em, zl_em(s, a, prec)  the Hurwitz-type sums, bounded (keyed by a)
-    _apow(a, expo, prec)     the powers of a they share, bounded
+Shared work.  Every entry expands the same b(n) and the same harmonic
+asymptotics, and the single-recipe tails of one tolerance sit at the
+same a = N+1, so the pure pieces are memoized with
+``functools.lru_cache``, each keyed by its exact arguments, the degree J
+included, and filled on first use (nothing is computed at import):
+
+    _bern(m), _bern_fact(k)     B_m and B_2k/(2k)!, exact, unbounded
+    _h_series(s, prec, J)       h_{sn} series, D-factor building block
+    _g_series(prec, J)          ln(b(n) sqrt(pi n))
+    _exp_g(e, prec, J)          exp(e g) = (b(n) sqrt(pi n))^e
+    _d_part(kind, prec, J)      the harmonic factor D_kind(n)
+    build_poly(recipe, prec, J) the assembled coefficient polynomials
+    z_em, zl_em(s, a, prec)     the Hurwitz-type sums, bounded (keyed by a)
+    _apow(a, expo, prec)        the powers of a they share, bounded
+    _ln(a, prec)                ln a, bounded
+    _bern_fact_ball(k, prec),   the balls of B_2k/(2k)! and 4/(2 pi)^(2K)
+    _zl_rem_factor(K, prec)     that zl_em takes at each precision
 
 A cached value is handed to every later caller, so it must never be
 mutated: ``USeries`` operators and :class:`Ball` operations always build
@@ -66,11 +78,16 @@ from .ball_arith import (
     _euler_gamma_ball,
 )
 
-J = 12                       # series degree in u = 1/n
+# the largest series degree in u = 1/n, the one the tails are tested
+# at; _s_series and _h_series fold their enveloped remainders, at u^17
+# and u^16, into rho only while J + 1 <= 16, and whether U0 and the
+# cut N >= 32 still suit degrees past 12 is unchecked
+J_MAX = 12
 U0 = Fraction(1, 33)         # validity window 0 < u <= U0
 _MIN_A = 33                  # tails valid for a = N+1 >= 33
 
-__all__ = ["EmRecipe", "tail_enclosure", "build_poly", "z_em", "zl_em", "J", "U0"]
+__all__ = ["EmRecipe", "tail_enclosure", "build_poly", "z_em", "zl_em",
+           "plan", "J_MAX", "U0"]
 
 _PREC_CACHE = 256            # entries per prec-keyed cache
 _Z_CACHE = 2048              # (s, a, prec) entries per Hurwitz-sum cache
@@ -107,17 +124,29 @@ def _is_zero_ball(b: Ball) -> bool:
 # --------------------------------------------------------------------
 
 class USeries:
-    """f(u) = sum_{m<=J} c[m] u^m + r(u), |r(u)| <= rho u^(J+1) on (0, U0]."""
+    """f(u) = sum_{m<=J} c[m] u^m + r(u), |r(u)| <= rho u^(J+1) on (0, U0].
+
+    The degree J is len(c) - 1; the operators combine series of one
+    degree only.
+    """
 
     __slots__ = ("c", "rho", "prec")
 
-    def __init__(self, prec: int, coeffs=None, rho: Fraction = Fraction(0)):
+    def __init__(self, prec: int, J: int, coeffs=None,
+                 rho: Fraction = Fraction(0)):
         self.prec = prec
         self.c = [Ball.zero(prec) for _ in range(J + 1)]
         if coeffs:
-            for m, v in enumerate(coeffs[: J + 1]):
+            if len(coeffs) > J + 1:
+                # a dropped coefficient would leave no trace in rho
+                raise ValueError(f"{len(coeffs)} coefficients at degree {J}")
+            for m, v in enumerate(coeffs):
                 self.c[m] = self._ball(v)
         self.rho = Fraction(rho)
+
+    @property
+    def J(self) -> int:
+        return len(self.c) - 1
 
     def _ball(self, v) -> Ball:
         if isinstance(v, Ball):
@@ -132,23 +161,27 @@ class USeries:
         return _fr_up(tot)
 
     def bound(self) -> Fraction:
-        return _fr_up(self.polybound() + self.rho * U0 ** (J + 1))
+        return _fr_up(self.polybound() + self.rho * U0 ** (self.J + 1))
+
+    def _like(self) -> "USeries":
+        """A zero series of the same precision and degree."""
+        return USeries(self.prec, self.J)
 
     def __add__(self, other: "USeries") -> "USeries":
-        r = USeries(self.prec)
-        r.c = [a + b for a, b in zip(self.c, other.c)]
+        r = self._like()
+        r.c = [a + b for a, b in zip(self.c, other.c, strict=True)]
         r.rho = _fr_up(self.rho + other.rho)
         return r
 
     def __sub__(self, other: "USeries") -> "USeries":
-        r = USeries(self.prec)
-        r.c = [a - b for a, b in zip(self.c, other.c)]
+        r = self._like()
+        r.c = [a - b for a, b in zip(self.c, other.c, strict=True)]
         r.rho = _fr_up(self.rho + other.rho)
         return r
 
     def scale_frac(self, k: Fraction) -> "USeries":
         k = Fraction(k)
-        r = USeries(self.prec)
+        r = self._like()
         if k == 0:
             return r
         kb = Ball.from_fraction(k, self.prec)
@@ -157,13 +190,15 @@ class USeries:
         return r
 
     def scale_ball(self, k: Ball) -> "USeries":
-        r = USeries(self.prec)
+        r = self._like()
         r.c = [a * k for a in self.c]
         r.rho = _fr_up(_fr_abs_hi(k) * self.rho)
         return r
 
     def __mul__(self, other: "USeries") -> "USeries":
-        prec = self.prec
+        prec, J = self.prec, self.J
+        if other.J != J:
+            raise ValueError(f"degrees {J} and {other.J} differ")
         conv = [Ball.zero(prec) for _ in range(2 * J + 1)]
         for i, a in enumerate(self.c):
             if _is_zero_ball(a):
@@ -172,7 +207,7 @@ class USeries:
                 if _is_zero_ball(b):
                     continue
                 conv[i + j2] = conv[i + j2] + a * b
-        r = USeries(prec)
+        r = self._like()
         r.c = conv[: J + 1]
         fold = Fraction(0)
         for m in range(J + 1, 2 * J + 1):
@@ -185,13 +220,13 @@ class USeries:
         return r
 
 
-def _const_ser(prec: int, v) -> USeries:
-    return USeries(prec, [v])
+def _const_ser(prec: int, J: int, v) -> USeries:
+    return USeries(prec, J, [v])
 
 
-def _mono_ser(prec: int, m: int, v) -> USeries:
+def _mono_ser(prec: int, J: int, m: int, v) -> USeries:
     coeffs = [Fraction(0)] * m + [v]
-    return USeries(prec, coeffs)
+    return USeries(prec, J, coeffs)
 
 
 # --------------------------------------------------------------------
@@ -221,7 +256,7 @@ def _poly_abs_min(Q, lo: Fraction, hi: Fraction, depth: int = 0) -> Fraction:
                _poly_abs_min(Q, mid, hi, depth + 1))
 
 
-def rational_useries(P, Q, prec: int) -> USeries:
+def rational_useries(P, Q, prec: int, J: int) -> USeries:
     """P*(u)/Q*(u) with exact rational synthetic division, Q*(0) != 0."""
     P = [Fraction(x) for x in P]
     Q = [Fraction(x) for x in Q]
@@ -242,7 +277,7 @@ def rational_useries(P, Q, prec: int) -> USeries:
         assert E[m] == 0
     num = sum(abs(E[m]) * U0 ** (m - J - 1) for m in range(J + 1, len(E)))
     qmin = _poly_abs_min(Q, Fraction(0), U0)
-    ser = USeries(prec, c)
+    ser = USeries(prec, J, c)
     ser.rho = _fr_up(Fraction(num) / qmin)
     return ser
 
@@ -258,13 +293,13 @@ def _exp_hi(x: Fraction) -> Fraction:
 
 
 def exp_useries(f: USeries) -> USeries:
-    prec = f.prec
+    prec, J = f.prec, f.J
     c0 = f.c[0]
-    p = USeries(prec)
+    p = f._like()
     p.c = [Ball.zero(prec)] + list(f.c[1:])
     p.rho = f.rho
-    out = _const_ser(prec, Fraction(1))
-    term = _const_ser(prec, Fraction(1))
+    out = _const_ser(prec, J, Fraction(1))
+    term = _const_ser(prec, J, Fraction(1))
     for k in range(1, J + 1):
         term = term * p
         out = out + term.scale_frac(Fraction(1, math.factorial(k)))
@@ -289,7 +324,7 @@ def exp_useries(f: USeries) -> USeries:
 # Stirling / harmonic building blocks
 # --------------------------------------------------------------------
 
-def _a_series(prec: int) -> USeries:
+def _a_series(prec: int, J: int) -> USeries:
     """(n + 1/2) ln(1 + u/2) - 1 - n ln(1 + u) + u-free normalization.
 
     Exact alternating coefficients; remainder bounded by the three
@@ -303,21 +338,21 @@ def _a_series(prec: int) -> USeries:
         coeffs.append(Fraction((-1) ** m) * v)
     rho = (Fraction(1, (J + 2) * 2 ** (J + 2)) + Fraction(1, J + 2)
            + Fraction(1, 2 * (J + 1)))
-    ser = USeries(prec, coeffs)
+    ser = USeries(prec, J, coeffs)
     ser.rho = rho
     return ser
 
 
-def _s_series(a: Fraction, prec: int, js: int = 8) -> USeries:
+def _s_series(a: Fraction, prec: int, J: int, js: int = 8) -> USeries:
     """Stirling correction S(n+a) = sum_j B_2j/(2j(2j-1)(n+a)^(2j-1))."""
     a = Fraction(a)
-    out = USeries(prec)
+    out = USeries(prec, J)
     for j in range(1, js + 1):
         coef = _bern(2 * j) / (2 * j * (2 * j - 1))
         deg = 2 * j - 1
         den = [math.comb(deg, i) * a ** i for i in range(deg + 1)]
         num = [Fraction(0)] * deg + [coef]
-        out = out + rational_useries(num, den, prec)
+        out = out + rational_useries(num, den, prec, J)
     # enveloped Stirling remainder, first omitted term at (n+a) >= n
     rem = abs(_bern(2 * js + 2)) / Fraction((2 * js + 2) * (2 * js + 1))
     out.rho = _fr_up(out.rho + rem * U0 ** (2 * js + 1 - (J + 1)))
@@ -325,9 +360,9 @@ def _s_series(a: Fraction, prec: int, js: int = 8) -> USeries:
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
-def _h_series(s: int, prec: int, kh: int = 7) -> USeries:
+def _h_series(s: int, prec: int, J: int, kh: int = 7) -> USeries:
     """h_{sn} = H_{sn} - ln(sn) - gamma as a series in u = 1/n."""
-    ser = USeries(prec, [Fraction(0), Fraction(1, 2 * s)])
+    ser = USeries(prec, J, [Fraction(0), Fraction(1, 2 * s)])
     for k in range(1, kh + 1):
         v = -_bern(2 * k) / Fraction(2 * k * s ** (2 * k))
         if 2 * k <= J:
@@ -340,39 +375,40 @@ def _h_series(s: int, prec: int, kh: int = 7) -> USeries:
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
-def _g_series(prec: int) -> USeries:
+def _g_series(prec: int, J: int) -> USeries:
     """ln(b(n) sqrt(pi n)) as a u-series."""
-    return (_a_series(prec) + _const_ser(prec, Fraction(1, 2))
-            + _s_series(Fraction(1, 2), prec) - _s_series(Fraction(1), prec))
+    return (_a_series(prec, J) + _const_ser(prec, J, Fraction(1, 2))
+            + _s_series(Fraction(1, 2), prec, J)
+            - _s_series(Fraction(1), prec, J))
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
-def _exp_g(e: int, prec: int) -> USeries:
+def _exp_g(e: int, prec: int, J: int) -> USeries:
     """(b(n) sqrt(pi n))^e = exp(e g) as a u-series."""
-    return exp_useries(_g_series(prec).scale_frac(Fraction(e)))
+    return exp_useries(_g_series(prec, J).scale_frac(Fraction(e)))
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
-def _d_part(kind: str, prec: int):
+def _d_part(kind: str, prec: int, J: int):
     """Harmonic factor D(n) = alpha_L ln n + D0(u); returns (alpha_L, D0)."""
     ln2 = constant(ConstantName.LN2, prec)
     gamma = _euler_gamma_ball(prec)
-    h1 = _h_series(1, prec)
-    h2 = _h_series(2, prec)
+    h1 = _h_series(1, prec, J)
+    h2 = _h_series(2, prec, J)
     if kind == "1":
-        return Fraction(0), _const_ser(prec, Fraction(1))
+        return Fraction(0), _const_ser(prec, J, Fraction(1))
     if kind == "HD":
-        return Fraction(0), _const_ser(prec, ln2) + h2 - h1
+        return Fraction(0), _const_ser(prec, J, ln2) + h2 - h1
     if kind == "HDM":
-        return (Fraction(0), _const_ser(prec, ln2) + h2 - h1
-                - _mono_ser(prec, 1, Fraction(1, 2)))
+        return (Fraction(0), _const_ser(prec, J, ln2) + h2 - h1
+                - _mono_ser(prec, J, 1, Fraction(1, 2)))
     if kind == "H":
-        return Fraction(1), _const_ser(prec, gamma) + h1
+        return Fraction(1), _const_ser(prec, J, gamma) + h1
     if kind == "H2N":
-        return Fraction(1), _const_ser(prec, ln2 + gamma) + h2
+        return Fraction(1), _const_ser(prec, J, ln2 + gamma) + h2
     if kind == "HD_HALF":
         return (Fraction(1, 2),
-                _const_ser(prec, ln2 + gamma.mul_2exp(-1)) + h2
+                _const_ser(prec, J, ln2 + gamma.mul_2exp(-1)) + h2
                 - h1.scale_frac(Fraction(1, 2)))
     raise ValueError(f"unknown harmonic kind {kind!r}")
 
@@ -398,13 +434,14 @@ class EmRecipe:
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
-def build_poly(recipe: EmRecipe, prec: int):
-    """(sigma0, W0, W1): t_n = sum_j (W0_j + W1_j ln n) n^(-sigma0-j) + rem."""
+def build_poly(recipe: EmRecipe, prec: int, J: int = J_MAX):
+    """(sigma0, W0, W1): t_n = sum_j (W0_j + W1_j ln n) n^(-sigma0-j) + rem,
+    the sum over j <= J and |rem| <= (W0.rho + W1.rho ln n) n^(-sigma0-J-1)."""
     pstar = tuple(reversed(recipe.P))
     qstar = tuple(reversed(recipe.Q))
-    t = rational_useries(pstar, qstar, prec)
+    t = rational_useries(pstar, qstar, prec, J)
     if recipe.e:
-        x = _exp_g(recipe.e, prec)
+        x = _exp_g(recipe.e, prec, J)
         pi = constant(ConstantName.PI, prec)
         if recipe.e == 1:
             pref = 1 / pi.sqrt()
@@ -413,7 +450,7 @@ def build_poly(recipe: EmRecipe, prec: int):
         else:
             pref = 1 / pi.sqrt().pow_int(recipe.e)
         t = (t * x).scale_ball(pref)
-    alpha_l, d0 = _d_part(recipe.dkind, prec)
+    alpha_l, d0 = _d_part(recipe.dkind, prec, J)
     w1 = t.scale_frac(alpha_l)
     w0 = t * d0
     return recipe.sigma0, w0, w1
@@ -423,11 +460,27 @@ def build_poly(recipe: EmRecipe, prec: int):
 # Euler-Maclaurin evaluation of Z(s,a) and ZL(s,a)
 # --------------------------------------------------------------------
 
-def _poch(s: Fraction, m: int) -> Fraction:
-    v = Fraction(1)
-    for i in range(m):
-        v *= s + i
-    return v
+@functools.lru_cache(maxsize=None)
+def _bern_fact(k: int) -> Fraction:
+    """B_2k / (2k)!, exact."""
+    return _bern(2 * k) / Fraction(math.factorial(2 * k))
+
+
+@functools.lru_cache(maxsize=_PREC_CACHE)
+def _bern_fact_ball(k: int, prec: int) -> Ball:
+    return Ball.from_fraction(_bern_fact(k), prec)
+
+
+@functools.lru_cache(maxsize=_PREC_CACHE)
+def _zl_rem_factor(k_order: int, prec: int) -> Ball:
+    """4 / (2 pi)^(2K), the remainder factor of zl_em at order K."""
+    two_pi = constant(ConstantName.PI, prec).mul_2exp(1)
+    return Ball.from_int(4, prec) / two_pi.pow_int(2 * k_order)
+
+
+@functools.lru_cache(maxsize=_Z_CACHE)
+def _ln(a: int, prec: int) -> Ball:
+    return Ball.from_int(a, prec).ln()
 
 
 @functools.lru_cache(maxsize=_Z_CACHE)
@@ -450,12 +503,12 @@ def z_em(s: Fraction, a: int, prec: int, k_order: int = 10) -> Ball:
     val = (_apow(a, 1 - s, prec)
            * Ball.from_fraction(Fraction(1) / (s - 1), prec))
     val = val + _apow(a, -s, prec).mul_2exp(-1)
+    poch = s                             # the Pochhammer symbol (s)_(2k-1)
     for k in range(1, k_order + 1):
-        coef = _bern(2 * k) / Fraction(math.factorial(2 * k)) * _poch(s, 2 * k - 1)
+        coef = _bern_fact(k) * poch
         val = val + Ball.from_fraction(coef, prec) * _apow(a, -s - 2 * k + 1, prec)
-    err_coef = (abs(_bern(2 * k_order + 2))
-                / Fraction(math.factorial(2 * k_order + 2))
-                * _poch(s, 2 * k_order + 1))
+        poch *= (s + 2 * k - 1) * (s + 2 * k)
+    err_coef = abs(_bern_fact(k_order + 1)) * poch
     err = Ball.from_fraction(err_coef, prec) * _apow(a, -s - 2 * k_order - 1, prec)
     return val.widened(err.abs_hi())
 
@@ -469,7 +522,7 @@ def zl_em(s: Fraction, a: int, prec: int) -> Ball:
     ln a >= sum_{i<2K} 1/(s+i); K adapts downward until that holds.
     """
     s = Fraction(s)
-    la = Ball.from_int(a, prec).ln()
+    la = _ln(a, prec)
     la_lo_ok = None
     for k_order in (10, 8, 6, 4, 3):
         cond = sum(Fraction(1, s + i) for i in range(2 * k_order))
@@ -494,28 +547,86 @@ def zl_em(s: Fraction, a: int, prec: int) -> Ball:
         pm, qm = derivs[2 * k - 1]
         gk = _apow(a, -s - (2 * k - 1), prec) * (
             Ball.from_fraction(pm, prec) * la + Ball.from_fraction(qm, prec))
-        val = val - Ball.from_fraction(
-            _bern(2 * k) / Fraction(math.factorial(2 * k)), prec) * gk
+        val = val - _bern_fact_ball(k, prec) * gk
     pm, qm = derivs[2 * k_order - 1]
     glast = _apow(a, -s - (2 * k_order - 1), prec) * (
         Ball.from_fraction(pm, prec) * la + Ball.from_fraction(qm, prec))
-    two_pi = constant(ConstantName.PI, prec).mul_2exp(1)
-    err = (glast * (Ball.from_int(4, prec)
-                    / two_pi.pow_int(2 * k_order))).abs_hi()
+    err = (glast * _zl_rem_factor(k_order, prec)).abs_hi()
     return val.widened(err)
+
+
+# --------------------------------------------------------------------
+# the plan: cut N and degree J from the tolerance
+# --------------------------------------------------------------------
+
+# The error model.  Over the twelve catalog recipes, at J = 4..12 and
+# N = 32..2048, the radius of tail_enclosure(recipe, N, prec, J) stays
+# below 10^-3 26^-J (32/N)^(J+2), at any precision: each extra degree
+# gains about 26x at N = 32 (24x to 33x measured), each doubling of N
+# 2^(J+2).  The bound holds with a margin of 1.5 to 7 on that grid.
+_MODEL_C = Fraction(1, 1000)
+_MODEL_F = 26
+_PLAN_J_MIN = 4
+_PLAN_N_MAX = 2048           # the cut of J_MAX when no plan closes below it
+# one more degree costs a cold tail about as much as this many kernel
+# steps do (0.57 ms against 0.82 us per step, 15 digits, 2-core VM)
+_DEGREE_STEPS = 600
+
+
+def _model_cut(tol: Fraction, J: int) -> int | None:
+    """The least N in [_MIN_A - 1, _PLAN_N_MAX] with model radius <= tol,
+    or None; exact integer arithmetic, so every platform plans alike."""
+    m = J + 2
+    # 10^-3 26^-J (32/N)^m <= tol  <=>  N^m >= need
+    need = _MODEL_C * (_MIN_A - 1) ** m / (_MODEL_F ** J * tol)
+    lo, hi = _MIN_A - 1, _PLAN_N_MAX
+    if hi ** m < need:
+        return None
+    if lo ** m >= need:
+        return lo
+    while hi - lo > 1:              # lo fails, hi closes
+        mid = (lo + hi) // 2
+        if mid ** m >= need:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def plan(tol: Fraction, weight: Fraction = Fraction(1)) -> tuple[int, int]:
+    """(N, J): the cut and degree of least cost, N + _DEGREE_STEPS J, whose
+    model radius times ``weight`` is at most ``tol``, with
+    _PLAN_J_MIN <= J <= J_MAX and N <= _PLAN_N_MAX; (_PLAN_N_MAX, J_MAX)
+    when none is.  The model only steers: the caller still checks the
+    enclosure it gets against ``tol``."""
+    tol = Fraction(tol) / weight
+    best = (_PLAN_N_MAX, J_MAX)
+    best_cost = None
+    for J in range(_PLAN_J_MIN, J_MAX + 1):
+        N = _model_cut(tol, J)
+        if N is None:
+            continue
+        cost = N + _DEGREE_STEPS * J
+        if best_cost is None or cost < best_cost:
+            best, best_cost = (N, J), cost
+    return best
 
 
 # --------------------------------------------------------------------
 # the tail enclosure
 # --------------------------------------------------------------------
 
-def tail_enclosure(recipe: EmRecipe, N: int, prec: int) -> Ball:
-    """Rigorous ball enclosing sum_{n > N} t_n; requires N + 1 >= 33."""
+def tail_enclosure(recipe: EmRecipe, N: int, prec: int,
+                   J: int = J_MAX) -> Ball:
+    """Rigorous ball enclosing sum_{n > N} t_n from the degree-J
+    expansion; requires N + 1 >= 33 and 1 <= J <= J_MAX."""
     a = N + 1
     if a < _MIN_A:
         raise ValueError(f"asymptotic tail needs N >= {_MIN_A - 1}")
+    if not 1 <= J <= J_MAX:
+        raise ValueError(f"degree {J} outside 1..{J_MAX}")
     wp = prec + 30
-    sigma0, w0, w1 = build_poly(recipe, wp)
+    sigma0, w0, w1 = build_poly(recipe, wp, J)
     tot = Ball.zero(wp)
     for j in range(J + 1):
         s = sigma0 + j

@@ -45,7 +45,9 @@ from .verifier import _classify, _env_digits, verify_all, verify_identity
 
 __all__ = ["CliConfig", "run", "main"]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits only, and nothing after them: \d would take other scripts'
+# digits and $ a trailing newline
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 _EVAL_DIGITS = 30
 _CONST_DIGITS = 40
@@ -72,7 +74,7 @@ class CliConfig:
 
 
 def _parse_rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(
             f"expected an exact rational like 3/16, got {text!r}")
     return Fraction(text)

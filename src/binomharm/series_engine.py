@@ -32,7 +32,10 @@ A :class:`TailStrategy` turns a truncation point N into a rigorous
 enclosure of the discarded tail.  Three kinds exist: a geometric
 envelope, an Euler-Maclaurin asymptotic expansion (the only one able to
 certify 15+ digits for the n^{-3/2}- and n^{-2}-type series), and the
-composite Euler-Maclaurin tail of Theorem 2.4.
+composite Euler-Maclaurin tail of Theorem 2.4.  The two Euler-Maclaurin
+kinds plan their sums: ``plan_terms`` solves the cut N, and the degree
+J that ``tail_ball`` then runs at, from the tolerance
+(:func:`_emtail.plan`).
 
 A geometric tail at N is proven, not sampled: before it returns a ball,
 :meth:`GeometricTail.tail_ball` proves |t_{n+1}| <= Q |t_n| for every
@@ -423,8 +426,12 @@ class TailStrategy:
     kind = "abstract"
 
     def tail_ball(self, stream: TermStream, N: int, prec: int,
-                  t_last: Optional[Ball]) -> Optional[Ball]:
-        """Enclosure of sum_{n>N} t_n, or None if no bound is available yet."""
+                  t_last: Optional[Ball],
+                  tol: Optional[Fraction] = None) -> Optional[Ball]:
+        """Enclosure of sum_{n>N} t_n, or None if no bound is available yet.
+
+        ``tol`` is the radius a planned sum needs, the one ``plan_terms``
+        solved N for; a strategy that plans sizes its enclosure by it."""
         raise NotImplementedError
 
     def plan_terms(self, tol: Fraction, max_terms: int) -> Optional[int]:
@@ -481,7 +488,7 @@ class GeometricTail(TailStrategy):
     point_bound: Optional[Fraction] = None
     kind = "geometric"
 
-    def tail_ball(self, stream, N, prec, t_last):
+    def tail_ball(self, stream, N, prec, t_last, tol=None):
         q = self.sup_env(N)
         if not isinstance(q, (int, Fraction)):
             raise TypeError(f"sup_env({N}) is a {type(q).__name__}, not an "
@@ -544,8 +551,28 @@ class GeometricTail(TailStrategy):
                     f"declared sign {stream.sign.value}: A(n) B(n) > 0")
 
 
+class _PlannedEmTail(TailStrategy):
+    """An Euler-Maclaurin tail whose cut N and degree J are solved from
+    the tolerance by :func:`_emtail.plan`.  ``weight`` bounds the tail's
+    radius in units of one recipe's model radius.  A call with no
+    tolerance, such as a probe of :func:`empirical_tail_check`, runs at
+    the largest degree."""
+
+    weight = Fraction(1)
+
+    def plan_terms(self, tol: Fraction, max_terms: int) -> Optional[int]:
+        from . import _emtail
+        return _emtail.plan(tol, self.weight)[0]
+
+    def _degree(self, tol: Optional[Fraction]) -> int:
+        from . import _emtail
+        if tol is None:
+            return _emtail.J_MAX
+        return _emtail.plan(tol, self.weight)[1]
+
+
 @dataclass
-class AsymptoticTail(TailStrategy):
+class AsymptoticTail(_PlannedEmTail):
     """Euler-Maclaurin tail for t_n = scale * R(n) b(n)^e D(n).
 
     Built lazily; see the private _emtail module for the machinery.
@@ -555,36 +582,34 @@ class AsymptoticTail(TailStrategy):
     kind = "asymptotic"
     min_n: int = 32
 
-    def tail_ball(self, stream, N, prec, t_last):
+    def tail_ball(self, stream, N, prec, t_last, tol=None):
         if N < self.min_n:
             return None
         from . import _emtail
-        return _emtail.tail_enclosure(self.recipe, N, prec)
-
-    def plan_terms(self, tol: Fraction, max_terms: int) -> Optional[int]:
-        return 2048
+        return _emtail.tail_enclosure(self.recipe, N, prec,
+                                      self._degree(tol))
 
 
 @dataclass
-class Thm24Tail(TailStrategy):
+class Thm24Tail(_PlannedEmTail):
     """Composite tail (pi/2) * tailA - tailB for the double-factorial series."""
 
     recipe_a: "object"
     recipe_b: "object"
     kind = "asymptotic-composite"
     min_n: int = 32
+    # the radius is (pi/2) rad A + rad B, and pi/2 + 1 < 13/5
+    weight = Fraction(13, 5)
 
-    def tail_ball(self, stream, N, prec, t_last):
+    def tail_ball(self, stream, N, prec, t_last, tol=None):
         if N < self.min_n:
             return None
         from . import _emtail
-        ta = _emtail.tail_enclosure(self.recipe_a, N, prec)
-        tb = _emtail.tail_enclosure(self.recipe_b, N, prec)
+        J = self._degree(tol)
+        ta = _emtail.tail_enclosure(self.recipe_a, N, prec, J)
+        tb = _emtail.tail_enclosure(self.recipe_b, N, prec, J)
         half_pi = constant(ConstantName.PI, prec).mul_2exp(-1)
         return half_pi * ta - tb
-
-    def plan_terms(self, tol: Fraction, max_terms: int) -> Optional[int]:
-        return 2048
 
 
 # --------------------------------------------------------------------
@@ -633,7 +658,7 @@ def sum_to_precision(stream: TermStream, strategy: TailStrategy,
         N = planned
         while N <= max_terms:
             total, last = cursor.advance(N)
-            tail = strategy.tail_ball(stream, N, prec, last)
+            tail = strategy.tail_ball(stream, N, prec, last, tol / 2)
             if tail is not None:
                 if mpf_cmp(tail.rad, half_tol_ball.mid) <= 0:
                     return SumResult(total + tail, N, prec, tail)

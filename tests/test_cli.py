@@ -1,13 +1,18 @@
 """Command-line driver: parsing, output formats, exit-code contract."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomharm import cli
 from binomharm.ball_arith import Ball
 from binomharm.cli import CliConfig, run, _truncate_significand
+from binomharm.registry import make_registry
 
 
 def _json_out(capsys):
@@ -283,3 +288,116 @@ def test_constants_table(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 7
     assert all("+-" in line for line in out)
+
+
+# ----------------------------------------------------------------------
+# properties: exact-rational parsing and the exit-code contract
+
+
+def _in_rational_grammar(text: str) -> bool:
+    """[+-]digits[/digits], ASCII digits, a denominator with no leading
+    zero; written out apart from the CLI's own pattern."""
+    body = text[1:] if text[:1] in ("+", "-") else text
+    num, slash, den = body.partition("/")
+
+    def digits(t):
+        return t != "" and all(c in "0123456789" for c in t)
+
+    return digits(num) and (not slash or (digits(den) and den[0] != "0"))
+
+
+def _parse_x(text: str) -> Fraction:
+    parser = cli._build_parser()
+    argv = cli._join_x_value(["eval", "--gf", "GF_M", "--x", text])
+    return parser.parse_args(argv).x
+
+
+def _run_quiet(argv) -> tuple:
+    """(exit code, stdout) of one CLI run, stderr discarded."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40),
+       st.booleans())
+def test_rational_x_round_trips(p, q, plus):
+    text = f"{'+' if plus and p >= 0 else ''}{p}/{q}"
+    assert _parse_x(text) == Fraction(p, q)
+    assert _parse_x(str(Fraction(p, q))) == Fraction(p, q)
+
+
+_NEAR_RATIONAL = st.text(alphabet="0123456789+-/.e x\n٣", max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_NEAR_RATIONAL, st.text(max_size=8)))
+def test_x_outside_the_grammar_exits_2(text):
+    if _in_rational_grammar(text):
+        assert _parse_x(text) == Fraction(text)
+        return
+    with pytest.raises(SystemExit) as exc, \
+            contextlib.redirect_stderr(io.StringIO()):
+        _parse_x(text)
+    assert exc.value.code == 2
+    code, out = _run_quiet(["eval", "--gf", "GF_M", "--x", text])
+    assert code == 2 and out == ""
+
+
+_IDS = sorted(make_registry())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_IDS), st.one_of(st.none(), st.integers(1, 64)))
+def test_verify_exit_code_is_the_contract(eid, budget):
+    argv = ["verify", "--id", eid, "--format", "json"]
+    if budget is not None:
+        argv += ["--max-terms", str(budget)]
+    code, out = _run_quiet(argv)
+    rep = json.loads(out)
+    assert code == (0 if rep["ok"] else 1)
+    if budget is None:
+        assert code == 0   # every entry meets its expectation by default
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.from_regex(r"[A-Z][A-Z0-9_]{0,8}", fullmatch=True))
+def test_verify_unknown_id_exits_2(eid):
+    if eid in _IDS:
+        return
+    code, out = _run_quiet(["verify", "--id", eid])
+    assert code == 2 and out == ""
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["GF_M", "GF_HD"]), st.integers(1, 8),
+       st.integers(8, 64), st.booleans(),
+       st.one_of(st.none(), st.integers(1, 8)))
+def test_eval_exit_code_is_the_contract(gf, p, k, negative, budget):
+    # 1/64 <= |x| <= 1/8: the series converges at ratio 4|x| >= 1/16,
+    # so eight terms never reach 30 digits
+    x = Fraction(-p if negative else p, k * p)
+    argv = ["eval", "--gf", gf, "--x", str(x), "--digits", "30",
+            "--format", "json"]
+    if budget is not None:
+        argv += ["--max-terms", str(budget)]
+    code, out = _run_quiet(argv)
+    payload = json.loads(out)
+    assert code == (0 if payload["ok"] else 1)
+    assert code == (0 if budget is None else 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["GF_M", "GF_HD"]), st.integers(-64, 64),
+       st.integers(1, 16))
+def test_eval_outside_the_series_domain_exits_2(gf, p, q):
+    x = Fraction(p, q)
+    if 0 < abs(x) < Fraction(1, 4):
+        return
+    code, out = _run_quiet(["eval", "--gf", gf, "--x", str(x)])
+    assert code == 2 and out == ""

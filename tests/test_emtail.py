@@ -1,11 +1,13 @@
 """Euler-Maclaurin tail enclosures for the slowly convergent series."""
 
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 
 from binomharm import _emtail, registry
+from binomharm.ball_arith import ConstantName, constant
 from binomharm.exact_core import central_binomial, harmonic
 from binomharm.series_engine import AsymptoticTail, d_value
 
@@ -75,8 +77,10 @@ def _all_tails(keys):
     for key in keys:
         for N in (32, 2048):
             for prec in (PREC, 240):
-                t = _emtail.tail_enclosure(registry._RECIPES[key], N, prec)
-                out[key, N, prec] = (t.mid, t.rad)
+                for J in (_emtail._PLAN_J_MIN, _emtail.J_MAX):
+                    t = _emtail.tail_enclosure(registry._RECIPES[key], N,
+                                               prec, J)
+                    out[key, N, prec, J] = (t.mid, t.rad)
     return out
 
 
@@ -171,28 +175,43 @@ def test_thm24_components_match_first_principles():
 # ----------------------------------------------------------------------
 # tails against exact partial-sum movement
 #
-# For any correct tail, T(32) - T(2048) must enclose the exact finite
-# window sum_{n=33}^{2048} t_n; the window is computed by exact
-# rational summation of the stream, so no asymptotics are shared
-# between the two sides.
+# For any correct tail, T(32) - T(M) must enclose the exact finite
+# window sum_{n=33}^{M} t_n; the window is computed by exact rational
+# summation of the stream, so no asymptotics are shared between the two
+# sides.  Every degree a plan can pick, 4..12, is checked on the window
+# up to M = 512, and the largest degree also up to M = 2048.
+
+_PLAN_DEGREES = range(_emtail._PLAN_J_MIN, _emtail.J_MAX + 1)
 
 
-@pytest.mark.parametrize("eid", ASYMPTOTIC_IDS)
-def test_tail_window_consistency(eid):
-    reg = registry.make_registry()
-    entry = reg[eid]
-    stream, strat = entry.make_stream()
-    recipe = strat.recipe
+@functools.lru_cache(maxsize=None)
+def _exact_window(eid, top):
+    stream, _ = registry.make_registry()[eid].make_stream()
     window = Fraction(0)
     for n, t in stream.iter_exact():
-        if n > 2048:
+        if n > top:
             break
         if n >= 33:
             window += t
-    t32 = _emtail.tail_enclosure(recipe, 32, PREC)
-    t2048 = _emtail.tail_enclosure(recipe, 2048, PREC)
-    lo, hi = interval(t32 - t2048)
-    assert lo <= window <= hi, f"{eid}: window {float(window)} escapes tail"
+    return window
+
+
+_WINDOW_CASES = (
+    [pytest.param(eid, _emtail.J_MAX, 2048, id=eid)
+     for eid in ASYMPTOTIC_IDS]
+    + [pytest.param(eid, J, 512, id=f"{eid}-J{J}")
+       for eid in ASYMPTOTIC_IDS for J in _PLAN_DEGREES])
+
+
+@pytest.mark.parametrize("eid,J,top", _WINDOW_CASES)
+def test_tail_window_consistency(eid, J, top):
+    _, strat = registry.make_registry()[eid].make_stream()
+    window = _exact_window(eid, top)
+    t32 = _emtail.tail_enclosure(strat.recipe, 32, PREC, J)
+    ttop = _emtail.tail_enclosure(strat.recipe, top, PREC, J)
+    lo, hi = interval(t32 - ttop)
+    assert lo <= window <= hi, \
+        f"{eid} at J={J}: window {float(window)} escapes tail"
 
 
 def test_thm24_composite_tail_window_consistency():
@@ -206,18 +225,30 @@ def test_thm24_composite_tail_window_consistency():
     dlo, dhi = interval(window)
     wlo, whi = interval(t32 - t2048)
     assert wlo <= dlo and dhi <= whi
+    # each planned degree, on the window 33..512: (pi/2) tailA - tailB
+    dlo, dhi = interval(stream.partial_sum(512, PREC)[0] - s32)
+    half_pi = constant(ConstantName.PI, PREC).mul_2exp(-1)
+    for J in _PLAN_DEGREES:
+        def tail(N):
+            return (half_pi * _emtail.tail_enclosure(strat.recipe_a, N,
+                                                     PREC, J)
+                    - _emtail.tail_enclosure(strat.recipe_b, N, PREC, J))
+        wlo, whi = interval(tail(32) - tail(512))
+        assert wlo <= dlo and dhi <= whi, f"J={J}"
 
 
 def test_tail_absolute_remainder_eq1():
-    # S - S_N must fall inside tail(N), with S the closed form
+    # S - S_N must fall inside tail(N), with S the closed form, at
+    # every degree a plan can pick
     reg = registry.make_registry()
     entry = reg["EQ1"]
     stream, strat = entry.make_stream()
     s32 = stream.partial_sum_exact(32)
     remainder = Fraction(RHS_REFS["EQ1"]) - s32
-    lo, hi = interval(_emtail.tail_enclosure(strat.recipe, 32, PREC))
     slack = Fraction(1, 10 ** 40)
-    assert lo - slack <= remainder <= hi + slack
+    for J in _PLAN_DEGREES:
+        lo, hi = interval(_emtail.tail_enclosure(strat.recipe, 32, PREC, J))
+        assert lo - slack <= remainder <= hi + slack, f"J={J}"
 
 
 def test_tail_shrinks_with_n():

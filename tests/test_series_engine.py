@@ -246,15 +246,82 @@ def test_sum_reaches_requested_digits():
 
 
 def test_budget_exhaustion_raises_with_best_effort():
-    # the Euler-Maclaurin tail plans 2048 terms for EQ1; a 1000-term
-    # budget must fail loudly before summing anything
+    # a budget one term short of the Euler-Maclaurin tail's planned cut
+    # for EQ1 must fail loudly before summing anything
     stream, strat = make_registry()["EQ1"].make_stream()
+    budget = strat.plan_terms(series_engine._tol_for(15) / 2, 10 ** 7) - 1
     with pytest.raises(PrecisionNotReached) as info:
-        sum_to_precision(stream, strat, 15, max_terms=1000)
+        sum_to_precision(stream, strat, 15, max_terms=budget)
     err = info.value
     assert err.requested_digits == 15
-    assert err.n_terms > 1000
+    assert err.n_terms > budget
     assert err.best is None
+
+
+_ASYMPTOTIC_IDS = ("EQ1", "EQ2", "EQ3", "EQ34", "EQ35", "EQ36", "THM24",
+                   "THM25A", "THM25B", "THM26", "THM27")
+
+
+def test_asymptotic_ids_are_the_planned_tails():
+    planned = [eid for eid, e in make_registry().items()
+               if e.make_stream()[1].plan_terms(Fraction(1), 1) is not None]
+    assert sorted(planned) == sorted(_ASYMPTOTIC_IDS)
+
+
+def _planned_sum(eid):
+    """(result, the cuts tail_ball was called at, the planned cut) of
+    the entry's sum at its default digits."""
+    entry = make_registry()[eid]
+    stream, strat = entry.make_stream()
+    tol = series_engine._tol_for(entry.default_digits) / 2
+    cuts = []
+    tail_ball = strat.tail_ball
+
+    def counted(stream, N, *args):
+        cuts.append(N)
+        return tail_ball(stream, N, *args)
+
+    strat.tail_ball = counted
+    res = sum_to_precision(stream, strat, entry.default_digits,
+                           max_terms=entry.max_terms)
+    return res, cuts, strat.plan_terms(tol, entry.max_terms)
+
+
+@pytest.mark.parametrize("eid", _ASYMPTOTIC_IDS)
+def test_planned_tail_closes_at_first_cut(eid):
+    # the error model is conservative: one tail per sum, no x4 rung
+    res, cuts, planned = _planned_sum(eid)
+    assert cuts == [planned]
+    assert res.n_terms == planned <= 2048
+
+
+# The 2048-term, degree-12 enclosures of the sums at default digits
+# before the cut and the degree were planned, as the verifier printed
+# them (series_mid to 25 significant digits, series_rad): the oracle
+# for the planned sums.
+_UNPLANNED_2048 = {
+    "EQ1": ("0.3456549019491641003914819", "3.33e-35"),
+    "EQ2": ("0.03384491754997060425595965", "3.26e-36"),
+    "EQ3": ("0.1447197822447140694885599", "1.39e-35"),
+    "EQ34": ("0.0368155389092553895132341", "3.55e-36"),
+    "EQ35": ("-0.0368155389092553895132341", "3.55e-36"),
+    "EQ36": ("0.2945243112740431161058728", "2.84e-35"),
+    "THM24": ("0.184306580334908298072254", "8.93e-35"),
+    "THM25A": ("0.5235080797033490302007249", "5.05e-35"),
+    "THM25B": ("0.6256123429033435653935929", "6.03e-35"),
+    "THM26": ("1.644934066848226436472415", "1.59e-34"),
+    "THM27": ("0.1126789617806785289768171", "1.09e-35"),
+}
+
+
+@pytest.mark.parametrize("eid", _ASYMPTOTIC_IDS)
+def test_planned_sum_overlaps_unplanned_enclosure(eid):
+    mid, rad = map(Fraction, _UNPLANNED_2048[eid])
+    # 25 significant digits of a value below 10 are within 10^-24
+    rad += Fraction(1, 10 ** 24)
+    res, _, _ = _planned_sum(eid)
+    lo, hi = interval(res.value)
+    assert lo <= mid + rad and mid - rad <= hi
 
 
 def test_hypothesis_violation_detected():

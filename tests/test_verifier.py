@@ -205,6 +205,22 @@ def test_planned_budget_exhaustion_keeps_best_enclosure(eid):
     assert "series_mid" in rep and "series_rad" in rep
 
 
+_ASYMPTOTIC_IDS = ("EQ1", "EQ2", "EQ3", "EQ34", "EQ35", "EQ36", "THM24",
+                   "THM25A", "THM25B", "THM26", "THM27")
+
+
+@pytest.mark.parametrize("digits", [15, 20, 30, 40])
+@pytest.mark.parametrize("eid", _ASYMPTOTIC_IDS)
+def test_planned_asymptotic_digit_sweep(eid, digits):
+    # each entry PASSed at these digits with the 2048-term, degree-12
+    # tail; a planned cut and degree must keep the verdict, the digits
+    # and the cut within 2048
+    rep = verify_identity(REG[eid], digits=digits)
+    assert rep["verdict"] == "PASS"
+    assert rep["agreed_digits"] >= digits
+    assert rep["n_terms"] <= 2048
+
+
 @pytest.mark.parametrize("max_terms", [0, -5])
 @pytest.mark.parametrize("eid", ["EQ6", "EQ1"])  # geometric, asymptotic
 def test_empty_budget_never_decides(eid, max_terms):
