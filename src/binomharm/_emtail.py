@@ -594,12 +594,13 @@ def _model_cut(tol: Fraction, J: int) -> int | None:
 
 
 def plan(tol: Fraction, weight: Fraction = Fraction(1)) -> tuple[int, int]:
-    """(N, J): the cut and degree of least cost, N + _DEGREE_STEPS J, whose
-    model radius times ``weight`` is at most ``tol``, with
-    _PLAN_J_MIN <= J <= J_MAX and N <= _PLAN_N_MAX; (_PLAN_N_MAX, J_MAX)
-    when none is.  The model only steers: the caller still checks the
-    enclosure it gets against ``tol``."""
-    tol = Fraction(tol) / weight
+    """(N, J): N the cut of least cost, N + _DEGREE_STEPS J, whose model
+    radius is at most ``tol`` at some _PLAN_J_MIN <= J <= J_MAX, with
+    N <= _PLAN_N_MAX (else _PLAN_N_MAX), so all tails of one tolerance
+    share N; J the least degree whose model radius at N, times
+    ``weight``, is at most ``tol`` (else J_MAX).  The model only steers:
+    the caller still checks the enclosure it gets against ``tol``."""
+    tol = Fraction(tol)
     best = (_PLAN_N_MAX, J_MAX)
     best_cost = None
     for J in range(_PLAN_J_MIN, J_MAX + 1):
@@ -609,7 +610,12 @@ def plan(tol: Fraction, weight: Fraction = Fraction(1)) -> tuple[int, int]:
         cost = N + _DEGREE_STEPS * J
         if best_cost is None or cost < best_cost:
             best, best_cost = (N, J), cost
-    return best
+    N = best[0]
+    for J in range(_PLAN_J_MIN, J_MAX + 1):
+        cut = _model_cut(tol / weight, J)
+        if cut is not None and cut <= N:
+            return N, J
+    return N, J_MAX
 
 
 # --------------------------------------------------------------------

@@ -80,6 +80,16 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+class _StoreRational(argparse.Action):
+    """argparse turns a lone "--" value into [] past the type check."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if not isinstance(values, Fraction):
+            parser.error(f"argument {option_string}: expected an exact "
+                         f"rational like 3/16, got '--'")
+        setattr(namespace, self.dest, values)
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -396,6 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--gf", required=True, choices=GF_NAMES,
                         help="generating function name")
     p_eval.add_argument("--x", required=True, type=_parse_rational,
+                        action=_StoreRational,
                         help="exact rational point, e.g. 1/8")
     p_eval.add_argument("--k", type=int,
                         help="shift order (GF_SHIFTED only)")

@@ -37,8 +37,7 @@ from typing import Optional
 
 from .ball_arith import Ball, ConstantName, DomainError, constant
 from .exact_core import SurdQ5, alpha_power, catalan_number, fib, lucas
-from .series_engine import (HARMONIC_KINDS, GeometricTail, HarmonicStream,
-                            SignPattern, d_value)
+from .series_engine import GeometricTail, HarmonicStream, SignPattern, d_value
 
 __all__ = [
     "GF_NAMES",
@@ -48,7 +47,6 @@ __all__ = [
     "gf_domain",
     "needs_k",
     "substitution_point",
-    "harmonic_step_envelope",
 ]
 
 GF_NAMES = (
@@ -266,16 +264,6 @@ def _taylor_fallback(name: str, x: Fraction, prec: int,
 # series streams with geometric tails
 # --------------------------------------------------------------------
 
-def harmonic_step_envelope(kind: str):
-    """Decreasing h(n) with D_{n+1}/D_n <= h(n) for the harmonic factor:
-    h(n) = 1 + delta(n)/D_first, from :data:`series_engine.HARMONIC_KINDS`
-    (:meth:`series_engine.HarmonicKind.step_bound`)."""
-    hk = HARMONIC_KINDS[kind]
-    if hk.first <= 0:
-        raise ValueError(f"harmonic kind {kind!r} starts at D = {hk.first}")
-    return hk.step_bound
-
-
 def _sign_of(x: Fraction) -> SignPattern:
     return SignPattern.POSITIVE if x > 0 else SignPattern.ALTERNATING
 
@@ -295,11 +283,9 @@ def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
     _check_rational_domain(name, x, k)
     if x == 0:
         raise DomainError("series route needs x != 0")
-    lo, hi, _, _ = gf_domain(name)
-    q0 = 4 * abs(x)
 
     if name in _CB_KIND or name in _CAT_KIND:
-        if q0 >= 1:
+        if 4 * abs(x) >= 1:
             raise DomainError(f"series route for {name} needs |x| < 1/4")
         if name in _CB_KIND:
             kind = _CB_KIND[name]
@@ -309,12 +295,7 @@ def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
             kind = _CAT_KIND[name]
             stream = HarmonicStream(seed=x, A=(2, 4), B=(2, 1), point=x,
                                     kind=kind, sign=_sign_of(x))
-        # |x| r(n) henv(n) <= q0 henv(N) for n >= N: r(n)/4 < 1 for the
-        # binomial or Catalan ratio, and the harmonic factor's own step
-        # bound henv decreases
-        henv = harmonic_step_envelope(kind)
-        strategy = GeometricTail(sup_env=lambda N: q0 * henv(N))
-        return stream, strategy
+        return stream, GeometricTail()
 
     if name in ("GF_EQ28", "GF_EQ29", "GF_EQ30"):
         if abs(x) >= 1:
@@ -331,9 +312,8 @@ def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
         else:
             # (n+1) (2n-1)^2 / (2n^2 (2n+3))
             seed, A, B = x / 3, (1, -3, 0, 4), (0, 0, 6, 4)
-        stream = HarmonicStream(seed=seed, A=A, B=B, point=x2, sign=sign)
-        # each ratio above is below 1
-        return stream, GeometricTail(sup_env=lambda N: x2)
+        return (HarmonicStream(seed=seed, A=A, B=B, point=x2, sign=sign),
+                GeometricTail())
 
     if name == "GF_SHIFTED":
         # C(2m+k+2, m+1) / C(2m+k, m)
@@ -341,18 +321,7 @@ def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
         stream = HarmonicStream(
             seed=Fraction(1), point=x, first_index=0, sign=_sign_of(x),
             A=((k + 1) * (k + 2), 4 * k + 6, 4), B=(k + 1, k + 2, 1))
-        coef = lambda m: stream.ratio(m) / 4
-        # coef(m) >= 1 only while 2m <= (k+1)(k-2); past that it climbs
-        # back toward 1 from below, so the supremum over m >= M is q0
-        # once M clears the hump and the hump maximum before that
-        m_hump = (k + 1) * (k - 2) // 2
-
-        def sup_env(M):
-            hump = max((coef(m) for m in range(M, m_hump + 1)),
-                       default=Fraction(1))
-            return q0 * max(Fraction(1), hump)
-
-        return stream, GeometricTail(sup_env=sup_env)
+        return stream, GeometricTail()
 
     raise KeyError(name)
 
@@ -379,16 +348,4 @@ def substitution_point(family: str, r: int) -> SurdQ5:
 def family_stream(family: str, r: int, kind: str):
     """(stream, strategy) for a family series at its surd point."""
     x = substitution_point(family, r)
-    stream = _cb_stream(x, kind, SignPattern.POSITIVE)
-    # q0 >= 4|x| from the lower dyadic bound of c = 1/(4x)
-    cb = Ball.from_surd(SurdQ5(Fraction(1), Fraction(0))
-                        / (x * Fraction(4)), 120)
-    clo = cb.to_interval_fractions()[0]
-    if clo <= 1:
-        raise DomainError("family point must have c > 1")
-    q0 = Fraction(1) / clo
-    henv = harmonic_step_envelope(kind)
-    # the tail proves q0/4 >= |x| exactly
-    strategy = GeometricTail(sup_env=lambda N: q0 * henv(N),
-                             point_bound=q0 / 4)
-    return stream, strategy
+    return _cb_stream(x, kind, SignPattern.POSITIVE), GeometricTail()

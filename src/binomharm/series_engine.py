@@ -1,67 +1,47 @@
 """Series summation engine: term streams, tail bounds, rigorous sums.
 
-A :class:`TermStream` produces the terms of one series exactly, as
-``Fraction`` or ``SurdQ5`` values.  :class:`HarmonicStream` holds every
-series as data: t_n = U_n D_n with U_{n+1} = U_n x A(n)/B(n) for a
-point x of Q or Q(sqrt5) and integer polynomials A, B given as
-ascending coefficient tuples, and D the harmonic factor of a kind in
-:data:`HARMONIC_KINDS`, the one table of D_first and of the increment
-D_{n+1} - D_n as a pair of integer polynomials.  The composite
-:class:`Thm24Stream` is built from two of them.  Exact iteration
-(``iter_exact``, ``partial_sum_exact``) is the reference route for
-tests; ``partial_sum`` runs one fixed-point kernel for every stream:
-integers at scale 2^p with explicit ulp error counters, the polynomials
-evaluated on plain ints, an irrational point held as one such integer.
+A :class:`HarmonicStream` holds a series as data: t_n = U_n D_n with
+U_{n+1} = U_n x A(n)/B(n) for a point x of Q or Q(sqrt5), integer
+polynomials A, B as ascending coefficient tuples, and D the harmonic
+factor of a kind in :data:`HARMONIC_KINDS` (D_first and the increment
+D_{n+1} - D_n as a pair of integer polynomials).  :class:`Thm24Stream`
+combines two of them.  ``iter_exact`` is the exact reference route;
+``stream.cursor(prec)`` runs one resumable fixed-point kernel (integers
+at scale 2^p with ulp error counters, step polynomials evaluated up to
+64 indices at a time), whose ``advance(N)`` carries the sum on to N, so
+a sum steps each index once across its cuts.
 
-The kernel is resumable: ``stream.cursor(prec)`` holds its state, and
-``advance(N)`` carries it from the last cut on to N.  So
-:func:`sum_to_precision` sums each index once per precision rung across
-its checkpoints, and :func:`empirical_tail_check` once across its
-probes; the balls are bit for bit those of a sum restarted at
-first_index.  On the 44 geometric sums of perfbench's ``deep_digits``
-workload at 200 digits the kernel now takes 26,336 steps, the sum of
-the reported cuts, where restarting at every checkpoint took 51,968.
-Each step reads its step-polynomial values from blocks of up to 64
-indices, evaluated by :func:`intpoly.pvalues` (Horner over the whole
-block) and clipped at the cut, in place of two ``peval`` calls per
-index, four when D is not 1; the integers, and so the balls, are the
-same.  On that workload this cut the kernel's time from about 0.104 to
-0.086 s (one cold batch at seed 1, 2-core VM).
-
-A :class:`TailStrategy` turns a truncation point N into a rigorous
-enclosure of the discarded tail.  Three kinds exist: a geometric
-envelope, an Euler-Maclaurin asymptotic expansion (the only one able to
-certify 15+ digits for the n^{-3/2}- and n^{-2}-type series), and the
-composite Euler-Maclaurin tail of Theorem 2.4.  The two Euler-Maclaurin
-kinds plan their sums: ``plan_terms`` solves the cut N, and the degree
-J that ``tail_ball`` then runs at, from the tolerance
-(:func:`_emtail.plan`).
-
-A geometric tail at N is proven, not sampled: before it returns a ball,
-:meth:`GeometricTail.tail_ball` proves |t_{n+1}| <= Q |t_n| for every
-integer n >= N, with Q = sup_env(N), and the stream's declared sign
-pattern for every n >= first_index.  Each claim is the sign of one
-integer polynomial read off the stream's A/B tuples, its harmonic kind
-and a rational bound on |x|, decided exactly by
-:func:`intpoly.first_negative`.  A failed claim raises
-:class:`TailHypothesisViolation` with the least failing n; a stream or
-value the proof cannot read exactly raises TypeError instead of passing.
+A :class:`TailStrategy` encloses the tail past a cut N.  The
+Euler-Maclaurin tails (:class:`AsymptoticTail`, and :class:`Thm24Tail`
+for Theorem 2.4) plan their sums from the tolerance: one cut N shared
+by every such tail, and the degree J each one's weight needs there
+(:func:`_emtail.plan`).  A :class:`GeometricTail` derives its ratio
+bound Q from the stream's A/B tuples, harmonic kind and a bound on |x|,
+and proves |t_{n+1}| <= Q |t_n| for every n >= N, and the declared sign
+pattern, as signs of integer polynomials (:func:`intpoly.first_negative`)
+before it returns a ball.  :func:`sum_to_precision` proves Q at the
+first cut and jumps to the cut where the tail |t_N| Q/(1 - Q), shrinking
+by Q per term, meets the tolerance.  A refuted claim raises
+:class:`TailHypothesisViolation` at the least failing n; a stream or
+value the proof cannot read exactly raises TypeError.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from mpmath.libmp import fzero, mpf_cmp, to_rational
 
+from . import _emtail
 from .ball_arith import Ball, ConstantName, constant, _fixed_to_ball, _up
 from .exact_core import SurdQ5, harmonic
-from .intpoly import (first_negative, lead_sign, padd, peval, pmul, pscale,
-                      pvalues)
+from .intpoly import (_trim, first_negative, lead_sign, padd, peval, pmul,
+                      pscale, pvalues)
 
 __all__ = [
     "SignPattern",
@@ -124,13 +104,6 @@ class HarmonicKind(NamedTuple):
     def delta(self, n: int) -> Fraction:
         return Fraction(peval(self.num, n), peval(self.den, n))
 
-    def step_bound(self, n: int) -> Fraction:
-        """1 + delta(n) / first.  D increases (delta >= 0), so while
-        first > 0, D_n >= first and D_{n+1}/D_n <= this bound."""
-        p, q = self.first.numerator, self.first.denominator
-        den = p * peval(self.den, n)
-        return Fraction(den + q * peval(self.num, n), den)
-
 
 HARMONIC_KINDS = {
     # the trivial factor D = 1
@@ -146,6 +119,14 @@ HARMONIC_KINDS = {
     # H_2n - H_n/2: H_2 - H_1/2, 1/(2n+1)
     "HD_HALF": HarmonicKind(Fraction(1), (1,), (1, 2)),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _d_at(kind: str, first: int, m: int) -> Fraction:
+    """D_m of a stream of harmonic kind ``kind`` that starts at index
+    ``first``: D_first plus the increments from first to m - 1."""
+    hk = HARMONIC_KINDS[kind]
+    return hk.first + sum((hk.delta(n) for n in range(first, m)), Fraction(0))
 
 
 def d_value(kind: str, n: int) -> Fraction:
@@ -457,57 +438,75 @@ def _holds_from(c: tuple, N: int, claim: str) -> None:
         raise TailHypothesisViolation(f"{claim} fails at n={n}")
 
 
+_Q_BITS = 32        # significant bits of a derived Q
+_D_INDEX_MAX = 64   # D_lo is D at min(N, this): exact, cached, cheap
+_RETRIES = 8        # witnesses re-derived before a cut is left unproven
+
+
 @dataclass
 class GeometricTail(TailStrategy):
-    """|t_{n+1}| <= Q |t_n| for every n >= N, with Q = sup_env(N) < 1.
+    """|t_{n+1}| <= Q |t_n| for every n >= N, with Q < 1 derived from the
+    stream and proven; the tail is |t_N| Q / (1 - Q), centred on [0, b]
+    or [-b, 0] when the stream declares its terms POSITIVE or NEGATIVE.
 
-    Tail bound: |t_N| Q / (1 - Q), centred on [0, b] or [-b, 0] when the
-    stream declares its terms POSITIVE or NEGATIVE.
-
-    :meth:`tail_ball` returns a ball only once both hypotheses are
-    proven for every integer n, with no cap on n.  For a harmonic stream
-    t_{n+1} / t_n = x A(n)/B(n) D_{n+1}/D_n.  With D_first = p/q > 0 and
-    increment delta = num/den >= 0 (num >= 0, den >= 1 from n =
-    first_index on), D increases, so D_{n+1}/D_n <= 1 + delta(n)/D_first.
-    With xbar >= |x| rational, and A and B each of one sign on [N, inf)
-    with B != 0, the step claim follows from
+    Here t_{n+1} / t_n = x A(n)/B(n) D_{n+1}/D_n.  D's increment
+    num/den is >= 0 (num >= 0, den >= 1 from first_index on), so
+    D_n >= D_lo = p/q, D at index min(N, 64), and D_{n+1}/D_n <=
+    1 + delta(n)/D_lo for n >= N.  :meth:`ratio` derives Q = xbar
+    max(|A(N)/B(N)|, lim |A/B|) (1 + delta(N)/D_lo), rounded up to 32
+    significant bits, and, with A and B of one sign on [N, inf), proves
 
         Q.num xbar.den |B(n)| p den(n)
-            - Q.den xbar.num |A(n)| (p den(n) + q num(n)) >= 0,
+            - Q.den xbar.num |A(n)| (p den(n) + q num(n)) >= 0
 
-    one integer polynomial decided for all n >= N.  A POSITIVE (NEGATIVE)
-    declaration is proven from seed > 0 (< 0), x > 0, A(n) B(n) > 0 for
-    n >= first_index, and D > 0.
+    for every n >= N.  Where |A/B| climbs past its value at N, the proof
+    returns the least failing n, and Q derived at that n is proven
+    again.  A POSITIVE (NEGATIVE) declaration is proven from seed > 0
+    (< 0), x > 0, A(n) B(n) > 0 for n >= first_index, and D > 0.
 
-    ``point_bound`` is xbar; a rational point may leave it None (xbar =
-    |x|), an irrational one must give it, and xbar >= |x| is then
-    decided by one exact sign in Q(sqrt5).
+    ``point_bound`` is xbar >= |x|, by default |x| for a rational point
+    and the upper end of a 128-bit enclosure of an irrational one; it is
+    checked by one exact sign in Q(sqrt5).
     """
 
-    sup_env: Callable[[int], Fraction]
     point_bound: Optional[Fraction] = None
     kind = "geometric"
 
     def tail_ball(self, stream, N, prec, t_last, tol=None):
-        q = self.sup_env(N)
-        if not isinstance(q, (int, Fraction)):
-            raise TypeError(f"sup_env({N}) is a {type(q).__name__}, not an "
-                            f"exact rational")
-        if q >= 1:
-            return None
-        self._prove(stream, N, Fraction(q))
+        q = self.ratio(stream, N)
+        return None if q is None else self.bound(stream, q, t_last, prec)
+
+    @staticmethod
+    def bound(stream, q: Fraction, t_last: Ball, prec: int) -> Ball:
+        """The tail past the cut of ``t_last`` for a proven ratio q."""
         t_hi = _fraction_of(t_last.abs_hi())
-        bound = t_hi * q / (1 - q)
-        return _signed_tail_ball(bound, stream.sign, prec)
+        return _signed_tail_ball(t_hi * q / (1 - q), stream.sign, prec)
+
+    def ratio(self, stream, N: int,
+              claim: Optional[Fraction] = None) -> Optional[Fraction]:
+        """A Q proven to bound |t_(n+1)/t_n| for every n >= N, or None:
+        ``claim`` if given (refuted: TailHypothesisViolation at the least
+        failing n), else the derived Q, derived again at each witness."""
+        derive, first_failure = self._step_proof(stream, N)
+        q = derive(N) if claim is None else claim
+        for _ in range(_RETRIES):
+            if q is None:
+                return None
+            n = first_failure(q)
+            if n is None:
+                return q
+            if claim is not None:
+                raise TailHypothesisViolation(f"|t_(n+1)| <= {q} |t_n| "
+                                              f"fails at n={n}")
+            q = derive(n)
+        return None
 
     def _xbar(self, point) -> Fraction:
         """A proven rational bound xbar >= |point|."""
         xbar = self.point_bound
         if xbar is None:
-            if not isinstance(point, (int, Fraction)):
-                raise TypeError(f"a {type(point).__name__} point needs a "
-                                f"rational point_bound")
-            return abs(Fraction(point))
+            xbar = (Ball.from_surd(abs(point), 128).to_interval_fractions()[1]
+                    if isinstance(point, SurdQ5) else abs(point))
         if not isinstance(xbar, (int, Fraction)):
             raise TypeError(f"point_bound is a {type(xbar).__name__}, not an "
                             f"exact rational")
@@ -516,16 +515,22 @@ class GeometricTail(TailStrategy):
                                           f"|x| = {abs(point)}")
         return Fraction(xbar)
 
-    def _prove(self, stream, N: int, Q: Fraction) -> None:
+    def _step_proof(self, stream, N: int):
+        """Prove the hypotheses of the step claim for n >= N and the
+        declared sign, and return (derive, first_failure): the derived Q
+        at an index n (None unless below 1), and the least n >= N where
+        the claim for a given Q fails (None if none does)."""
         if not isinstance(stream, HarmonicStream):
             raise TypeError(f"{type(stream).__name__} has no exact step "
                             f"ratios to prove a geometric tail on")
         A, B, first = stream.A, stream.B, stream.first_index
-        d_first, num, den = HARMONIC_KINDS[stream.kind]
-        p, q = d_first.numerator, d_first.denominator
+        _, num, den = HARMONIC_KINDS[stream.kind]
+        m = max(first, min(N, _D_INDEX_MAX))
+        d_lo = _d_at(stream.kind, first, m)
+        p, q = d_lo.numerator, d_lo.denominator
         if p <= 0:
-            raise TypeError(f"harmonic kind {stream.kind!r} starts at D = "
-                            f"{d_first}, so D_(n+1)/D_n has no bound")
+            raise TypeError(f"harmonic kind {stream.kind!r} has D = {d_lo} "
+                            f"at n={m}, so D_(n+1)/D_n has no bound")
         _holds_from(num, first, "the harmonic increment's numerator >= 0")
         _holds_from(padd(den, (-1,)), first,
                     "the harmonic increment's denominator >= 1")
@@ -533,83 +538,94 @@ class GeometricTail(TailStrategy):
         _holds_from(pscale(sa, A), N, "A(n) of one sign")
         _holds_from(padd(pscale(sb, B), (-1,)), N, "B(n) of one sign, nonzero")
         xbar = self._xbar(stream.point)
-        claim = padd(
-            pscale(Q.numerator * xbar.denominator * p * sb, pmul(B, den)),
-            pscale(-Q.denominator * xbar.numerator * sa,
-                   pmul(A, padd(pscale(p, den), pscale(q, num)))))
-        _holds_from(claim, N, f"|t_(n+1)| <= {Q} |t_n|")
-
         want = {SignPattern.POSITIVE: 1,
                 SignPattern.NEGATIVE: -1}.get(stream.sign)
-        if want is None:
-            return
-        if _exact_sign(stream.seed) != want or _exact_sign(stream.point) <= 0:
-            raise TailHypothesisViolation(
-                f"declared sign {stream.sign.value}: seed {stream.seed} of "
-                f"that sign and point {stream.point} > 0 fails at n={first}")
-        _holds_from(padd(pmul(A, B), (-1,)), first,
-                    f"declared sign {stream.sign.value}: A(n) B(n) > 0")
+        if want is not None:
+            if (_exact_sign(stream.seed) != want
+                    or _exact_sign(stream.point) <= 0):
+                raise TailHypothesisViolation(
+                    f"declared sign {stream.sign.value}: seed {stream.seed} "
+                    f"of that sign and point {stream.point} > 0 fails at "
+                    f"n={first}")
+            _holds_from(padd(pmul(A, B), (-1,)), first,
+                        f"declared sign {stream.sign.value}: A(n) B(n) > 0")
+        lhs = pscale(xbar.denominator * p * sb, pmul(B, den))
+        rhs = pscale(-xbar.numerator * sa,
+                     pmul(A, padd(pscale(p, den), pscale(q, num))))
+        # lim |A/B| as n -> oo; None when it is infinite
+        a, b = _trim(A), _trim(B)
+        lim = (None if len(a) > len(b) else Fraction(0) if len(a) < len(b)
+               else abs(Fraction(a[-1], b[-1])))
+
+        def derive(n: int) -> Optional[Fraction]:
+            if lim is None:
+                return None
+            r = max(abs(Fraction(peval(A, n), peval(B, n))), lim)
+            v = xbar * r * (1 + Fraction(peval(num, n), peval(den, n)) / d_lo)
+            if v >= 1:
+                return None
+            # rounded up to _Q_BITS significant bits
+            s = _Q_BITS + v.denominator.bit_length() - v.numerator.bit_length()
+            v = Fraction(-((-v.numerator << s) // v.denominator), 1 << s)
+            return v if v < 1 else None
+
+        def first_failure(Q: Fraction) -> Optional[int]:
+            if not isinstance(Q, (int, Fraction)):
+                raise TypeError(f"Q is a {type(Q).__name__}, not an exact "
+                                f"rational")
+            return first_negative(padd(pscale(Q.numerator, lhs),
+                                       pscale(Q.denominator, rhs)), N)
+
+        return derive, first_failure
 
 
 class _PlannedEmTail(TailStrategy):
     """An Euler-Maclaurin tail whose cut N and degree J are solved from
-    the tolerance by :func:`_emtail.plan`.  ``weight`` bounds the tail's
-    radius in units of one recipe's model radius.  A call with no
-    tolerance, such as a probe of :func:`empirical_tail_check`, runs at
-    the largest degree."""
+    the tolerance by :func:`_emtail.plan`: N is the one cut of every tail
+    at that tolerance, and ``weight``, the tail's radius in units of one
+    recipe's model radius, sets J.  A call with no tolerance, such as a
+    probe of :func:`empirical_tail_check`, runs at the largest degree;
+    a cut below 32 gets no tail."""
 
     weight = Fraction(1)
 
     def plan_terms(self, tol: Fraction, max_terms: int) -> Optional[int]:
-        from . import _emtail
         return _emtail.plan(tol, self.weight)[0]
 
-    def _degree(self, tol: Optional[Fraction]) -> int:
-        from . import _emtail
-        if tol is None:
-            return _emtail.J_MAX
-        return _emtail.plan(tol, self.weight)[1]
+    def tail_ball(self, stream, N, prec, t_last, tol=None):
+        if N < 32:
+            return None
+        J = (_emtail.J_MAX if tol is None
+             else _emtail.plan(tol, self.weight)[1])
+        return self._enclose(N, prec, J)
 
 
 @dataclass
 class AsymptoticTail(_PlannedEmTail):
-    """Euler-Maclaurin tail for t_n = scale * R(n) b(n)^e D(n).
+    """Euler-Maclaurin tail for t_n = scale * R(n) b(n)^e D(n); see the
+    private _emtail module for the machinery."""
 
-    Built lazily; see the private _emtail module for the machinery.
-    """
-
-    recipe: "object"              # _emtail.EmRecipe
+    recipe: _emtail.EmRecipe
     kind = "asymptotic"
-    min_n: int = 32
 
-    def tail_ball(self, stream, N, prec, t_last, tol=None):
-        if N < self.min_n:
-            return None
-        from . import _emtail
-        return _emtail.tail_enclosure(self.recipe, N, prec,
-                                      self._degree(tol))
+    def _enclose(self, N, prec, J):
+        return _emtail.tail_enclosure(self.recipe, N, prec, J)
 
 
 @dataclass
 class Thm24Tail(_PlannedEmTail):
     """Composite tail (pi/2) * tailA - tailB for the double-factorial series."""
 
-    recipe_a: "object"
-    recipe_b: "object"
+    recipe_a: _emtail.EmRecipe
+    recipe_b: _emtail.EmRecipe
     kind = "asymptotic-composite"
-    min_n: int = 32
     # the radius is (pi/2) rad A + rad B, and pi/2 + 1 < 13/5
     weight = Fraction(13, 5)
 
-    def tail_ball(self, stream, N, prec, t_last, tol=None):
-        if N < self.min_n:
-            return None
-        from . import _emtail
-        J = self._degree(tol)
+    def _enclose(self, N, prec, J):
         ta = _emtail.tail_enclosure(self.recipe_a, N, prec, J)
         tb = _emtail.tail_enclosure(self.recipe_b, N, prec, J)
-        half_pi = constant(ConstantName.PI, prec).mul_2exp(-1)
-        return half_pi * ta - tb
+        return constant(ConstantName.PI, prec).mul_2exp(-1) * ta - tb
 
 
 # --------------------------------------------------------------------
@@ -669,23 +685,32 @@ def sum_to_precision(stream: TermStream, strategy: TailStrategy,
             best=best, n_terms=N if best is None else best_n,
             requested_digits=target_digits)
 
-    # Geometric-style strategies: iterate with doubling checkpoints.
-    checkpoint = 16
+    # A geometric tail: prove Q at the first cut (doubling while no Q
+    # below 1 is derived), then jump to the cut where |t_N| Q/(1 - Q),
+    # shrinking at least by Q per term, meets the tolerance; predict
+    # again on a miss.  A Q proven at N holds past every later cut.
+    N, q = min(16, max_terms), None
     while True:
-        N = min(checkpoint, max_terms)
         total, last = cursor.advance(N)
-        tail = strategy.tail_ball(stream, N, prec, last)
+        if q is None:
+            q = strategy.ratio(stream, N)
+        tail = None if q is None else strategy.bound(stream, q, last, prec)
         if tail is not None and mpf_cmp(tail.rad, half_tol_ball.mid) <= 0:
-            value = total + tail
-            return SumResult(value, N, prec, tail)
+            return SumResult(total + tail, N, prec, tail)
         if N >= max_terms:
-            best = None
-            if tail is not None:
-                best = total + tail
             raise PrecisionNotReached(
                 f"tail bound still too large after {N} terms",
-                best=best, n_terms=N, requested_digits=target_digits)
-        checkpoint *= 2
+                best=None if tail is None else total + tail, n_terms=N,
+                requested_digits=target_digits)
+        N = min(max_terms, 2 * N if q is None
+                else N + _steps_to(_fraction_of(tail.rad), tol / 2, q))
+
+
+def _steps_to(rad: Fraction, tol: Fraction, q: Fraction) -> int:
+    """The least k >= 1 with rad q^k <= tol, in floating point."""
+    def ln(v: Fraction) -> float:
+        return math.log(v.numerator) - math.log(v.denominator)
+    return max(1, math.ceil((ln(rad) - ln(tol)) / -ln(q)))
 
 
 def empirical_tail_check(stream: TermStream, strategy: TailStrategy,

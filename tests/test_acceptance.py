@@ -291,15 +291,40 @@ def test_criterion_11_determinism(capsys):
               f"{s['n_fail']} expected-fail)")
 
 
+def _window_contained(stream, strategy, N: int) -> bool:
+    """T(N) contains S(4N) - S(N) + T(4N), T the tail ball and S the
+    partial sum.  The sums run at a precision 160 bits finer than |t_N|,
+    doubled until it is, so their rounding cannot decide the check."""
+    prec = 160
+    while True:
+        cursor = stream.cursor(prec)
+        s_n, t_n = cursor.advance(N)
+        lo, hi = t_n.to_interval_fractions()
+        t_lo = max(lo, -hi, 0)
+        if t_lo > 0 and t_lo * 2 ** (prec - 160) >= 1:
+            break
+        prec *= 2
+    s_4n, t_4n = cursor.advance(4 * N)
+    outer = strategy.tail_ball(stream, N, prec, t_n)
+    inner = s_4n - s_n + strategy.tail_ball(stream, 4 * N, prec, t_4n)
+    olo, ohi = outer.to_interval_fractions()
+    ilo, ihi = inner.to_interval_fractions()
+    return olo <= ilo and ihi <= ohi
+
+
 def test_criterion_12_tail_soundness(capsys):
+    probes = (32, 128, 512)
     bad = []
     for entry in REG.values():
         stream, strategy = entry.make_stream()
-        for row in empirical_tail_check(stream, strategy,
-                                        probes=(32, 128, 512)):
+        for row in empirical_tail_check(stream, strategy, probes=probes):
             if not row["ok"]:
-                bad.append((entry.id, row["N"]))
+                bad.append((entry.id, row["N"], "gap"))
+        for N in probes:
+            if not _window_contained(*entry.make_stream(), N):
+                bad.append((entry.id, N, "window"))
     _conclude(capsys, 12, not bad,
-              f"empirical tail bounds hold for all {len(REG)} entries at "
+              f"empirical tail bounds hold, and T(N) contains "
+              f"S(4N) - S(N) + T(4N), for all {len(REG)} entries at "
               f"N in {{32, 128, 512}}"
               + (f"; failures {bad}" if bad else ""))

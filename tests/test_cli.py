@@ -349,6 +349,16 @@ def test_x_outside_the_grammar_exits_2(text):
     assert code == 2 and out == ""
 
 
+def test_x_double_dash_exits_2():
+    # argparse hands a lone "--" value over as [], past the type check
+    with pytest.raises(SystemExit) as exc, \
+            contextlib.redirect_stderr(io.StringIO()):
+        _parse_x("--")
+    assert exc.value.code == 2
+    code, out = _run_quiet(["eval", "--gf", "GF_M", "--x", "--"])
+    assert code == 2 and out == ""
+
+
 _IDS = sorted(make_registry())
 
 

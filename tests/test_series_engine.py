@@ -40,9 +40,15 @@ def geometric_stream(q: Fraction) -> HarmonicStream:
                           kind="1", sign=sign)
 
 
-def geometric_tail(q: Fraction) -> GeometricTail:
-    aq = abs(q)
-    return GeometricTail(sup_env=lambda n: aq)
+@dataclasses.dataclass
+class ClaimedQ(GeometricTail):
+    """A geometric tail that claims the ratio bound ``q`` instead of
+    deriving one: the proof is called with that same q."""
+
+    q: Fraction = Fraction(1, 2)
+
+    def ratio(self, stream, N, claim=None):
+        return super().ratio(stream, N, self.q)
 
 
 # ----------------------------------------------------------------------
@@ -195,9 +201,10 @@ def test_cursor_cannot_advance_backwards(name):
 @pytest.mark.parametrize("digits", [10, 40, 200])
 def test_sum_to_precision_steps_each_index_once(monkeypatch, digits):
     # a kind-"1" step evaluates A and B once each, so the kernel's
-    # pvalues blocks cover every index twice; restarting at each
-    # checkpoint would cover it about twice as often, and a block run
-    # past the cut would cover indices beyond n_terms
+    # pvalues blocks cover every index twice; restarting at the
+    # predicted cut would cover the first 16 indices twice more, and a
+    # block run past the cut would cover indices beyond n_terms.  At
+    # ratio 1/2 every digit count takes two cuts, 16 and a predicted one
     covered = []
     real = series_engine.pvalues
 
@@ -206,9 +213,8 @@ def test_sum_to_precision_steps_each_index_once(monkeypatch, digits):
         return real(c, n0, n1, k)
 
     monkeypatch.setattr(series_engine, "pvalues", counting)
-    q = Fraction(2, 5)
-    stream = geometric_stream(q)
-    res = sum_to_precision(stream, geometric_tail(q), digits)
+    stream = geometric_stream(Fraction(1, 2))
+    res = sum_to_precision(stream, GeometricTail(), digits)
     assert res.n_terms >= 32
     assert len(covered) == 2 * (res.n_terms - stream.first_index + 1)
     assert sorted(set(covered)) == list(range(stream.first_index,
@@ -226,7 +232,7 @@ def test_geometric_tail_bounds_true_tail(q, N):
     s = geometric_stream(q)
     tail_true = q ** (N + 1) / (1 - q)  # sum_{n>N} q^n
     _, last = s.partial_sum(N, PREC)
-    tail = geometric_tail(q).tail_ball(s, N, PREC, last)
+    tail = GeometricTail().tail_ball(s, N, PREC, last)
     lo, hi = interval(tail)
     assert lo <= tail_true <= hi
 
@@ -237,7 +243,7 @@ def test_geometric_tail_bounds_true_tail(q, N):
 
 def test_sum_reaches_requested_digits():
     q = Fraction(1, 3)
-    res = sum_to_precision(geometric_stream(q), geometric_tail(q), 40)
+    res = sum_to_precision(geometric_stream(q), GeometricTail(), 40)
     limit = q / (1 - q)
     assert contains(res.value, limit)
     assert res.value.rad_fraction() < Fraction(1, 10 ** 40)
@@ -328,7 +334,7 @@ def test_hypothesis_violation_detected():
     # claimed bound 1/3 but true ratio 1/2: the tail proof must refuse
     # to certify the sum
     s = geometric_stream(Fraction(1, 2))
-    bad = GeometricTail(sup_env=lambda n: Fraction(1, 3))
+    bad = ClaimedQ(q=Fraction(1, 3))
     with pytest.raises(TailHypothesisViolation):
         sum_to_precision(s, bad, 30)
 
@@ -341,11 +347,11 @@ def test_surd_envelope_replay_is_exact():
     # an irrational point enters the proof through a rational bound on
     # |x|; bounds within 10^-80 of |x| on either side are decided
     # exactly, far below what a 120-bit ball comparison can resolve
-    stream, sound = family_stream("FIB", 1, "H")
+    stream, _ = family_stream("FIB", 1, "H")
     lo, hi = Ball.from_surd(abs(stream.point), 400).to_interval_fractions()
     gap = Fraction(1, 10 ** 80)
-    above = GeometricTail(sup_env=sound.sup_env, point_bound=hi + gap)
-    below = GeometricTail(sup_env=sound.sup_env, point_bound=lo - gap)
+    above = GeometricTail(point_bound=hi + gap)
+    below = GeometricTail(point_bound=lo - gap)
     assert above.tail_ball(stream, 16, PREC, _last(stream, 16)) is not None
     with pytest.raises(TailHypothesisViolation, match="point bound"):
         below.tail_ball(stream, 16, PREC, _last(stream, 16))
@@ -357,8 +363,7 @@ def test_mixed_type_first_step_is_checked():
     stream = HarmonicStream(seed=Fraction(1),
                             point=substitution_point("FIB", 1),
                             A=(1,), B=(1,))
-    tight = GeometricTail(sup_env=lambda n: Fraction(1, 100),
-                          point_bound=Fraction(1, 10))
+    tight = ClaimedQ(q=Fraction(1, 100), point_bound=Fraction(1, 10))
     with pytest.raises(TailHypothesisViolation, match=r"at n=1\b"):
         tight.tail_ball(stream, 1, PREC, _last(stream, 1))
 
@@ -368,7 +373,9 @@ def test_tail_proof_is_not_capped():
     # without bound: the series diverges, yet every step a sample of the
     # first few hundred terms could see is within the claimed bound
     stream = HarmonicStream(seed=Fraction(1), A=(0, 1), B=(2000,))
-    half = GeometricTail(sup_env=lambda n: Fraction(1, 2))
+    # no Q below 1 is derived for a ratio that grows without bound
+    assert GeometricTail().ratio(stream, 16) is None
+    half = ClaimedQ(q=Fraction(1, 2))
     with pytest.raises(TailHypothesisViolation, match=r"at n=1001\b"):
         half.tail_ball(stream, 16, PREC, _last(stream, 16))
     with pytest.raises(TailHypothesisViolation, match=r"at n=1001\b"):
@@ -382,14 +389,14 @@ def test_false_positive_declaration_is_refused():
                                 sign=SignPattern.POSITIVE)
     with pytest.raises(TailHypothesisViolation,
                        match="declared sign positive"):
-        sum_to_precision(wrong, geometric_tail(Fraction(-1, 2)), 30)
+        sum_to_precision(wrong, GeometricTail(), 30)
 
 
 @pytest.mark.parametrize("declared", [SignPattern.POSITIVE,
                                       SignPattern.NEGATIVE])
 def test_declared_sign_is_proven(declared):
     want = 1 if declared is SignPattern.POSITIVE else -1
-    tail = geometric_tail(Fraction(1, 2))
+    tail = GeometricTail()
 
     def stream(seed_sign, a):
         return HarmonicStream(seed=Fraction(seed_sign, 2), A=(a,), B=(2,),
@@ -404,18 +411,14 @@ def test_declared_sign_is_proven(declared):
     assert contains(res.value, Fraction(want))
 
 
-def _sound_tail():
-    return GeometricTail(sup_env=lambda n: Fraction(1, 2))
-
-
 @pytest.mark.parametrize("stream, tail", [
     # no exact step ratios
-    (make_registry()["THM24"].make_stream()[0], _sound_tail()),
+    (make_registry()["THM24"].make_stream()[0], GeometricTail()),
     # an inexact bound
-    (geometric_stream(Fraction(1, 3)), GeometricTail(sup_env=lambda n: 0.5)),
+    (geometric_stream(Fraction(1, 3)), ClaimedQ(q=0.5)),
     # an inexact step ratio
     (HarmonicStream(seed=Fraction(1, 3), A=(1 / 3,), B=(1,)),
-     _sound_tail()),
+     GeometricTail()),
 ], ids=["thm24-stream", "float-envelope", "float-ratio"])
 def test_undecidable_replay_raises(stream, tail):
     with pytest.raises(TypeError):
@@ -458,7 +461,7 @@ _REPLAY_SPAN = 160
 def test_ratio_replay_matches_term_replay(case):
     """The tail proof against the exact term-form replay.
 
-    At every cut N the proven Q = sup_env(N) holds on the exact terms
+    At every cut N the derived and proven Q holds on the exact terms
     for N <= n <= N + 160, and a Q 10^-80 below the exact
     |t_(N+1) / t_N| is refused by both, at n = N.
     """
@@ -473,8 +476,8 @@ def test_ratio_replay_matches_term_replay(case):
                                   top - stream.first_index + 1))
     gap = Fraction(1, 10 ** 80)
     for N in _PROOF_CUTS:
-        Q = real.sup_env(N)
-        assert Q < 1, case
+        Q = real.ratio(stream, N)
+        assert Q is not None and Q < 1, case
         assert _proof_violation(stream, real, N) is None, (case, N)
         assert _term_form_violation(terms, Q, N, _REPLAY_SPAN) is None, \
             (case, N)
@@ -483,10 +486,49 @@ def test_ratio_replay_matches_term_replay(case):
             lo = Ball.from_surd(ratio, 400).to_interval_fractions()[0]
         else:
             lo = ratio
-        low = GeometricTail(sup_env=lambda n: lo - gap,
-                            point_bound=real.point_bound)
+        low = ClaimedQ(q=lo - gap, point_bound=real.point_bound)
         assert _term_form_violation(terms, lo - gap, N, 0) == N, (case, N)
         assert _proof_violation(stream, low, N) == N, (case, N)
+
+
+_GEOMETRIC_IDS = [k for k in _geometric_cases() if "@" not in k]
+
+
+@pytest.mark.parametrize("eid", _GEOMETRIC_IDS)
+def test_derived_q_bounds_every_exact_ratio(eid):
+    """The Q each geometric tail derives and proves at N is at least
+    every exact |t_(n+1) / t_n| for N <= n <= N + 200."""
+    stream, strategy = make_registry()[eid].make_stream()
+    cuts, span = (16, 32, 128), 200
+    top = max(cuts) + span + 1
+    terms = dict(itertools.islice(stream.iter_exact(),
+                                  top - stream.first_index + 1))
+    for N in cuts:
+        Q = strategy.ratio(stream, N)
+        assert Q is not None and Q < 1, (eid, N)
+        assert _term_form_violation(terms, Q, N, span) is None, (eid, N)
+
+
+def test_geometric_ids_are_the_catalog_tails():
+    assert len(_GEOMETRIC_IDS) == 38
+
+
+def test_hump_is_proven_from_the_witness():
+    # |A/B| = 1 + 10n / (n^2 + 20n + 400) climbs from n = 16 to its peak
+    # at n = 20: the Q derived at 16 is refuted at 17, and each witness
+    # raises Q until the one derived at the peak holds
+    stream = HarmonicStream(seed=Fraction(1), point=Fraction(1, 2),
+                            A=(400, 30, 1), B=(400, 20, 1))
+    tail = GeometricTail()
+    derived_16 = Fraction(1, 2) * stream.ratio(16)
+    with pytest.raises(TailHypothesisViolation, match=r"at n=17\b"):
+        tail.ratio(stream, 16, derived_16)
+    Q = tail.ratio(stream, 16)
+    assert Fraction(1, 2) * stream.ratio(20) <= Q
+    assert Q < Fraction(1, 2) * stream.ratio(20) * (1 + Fraction(1, 10 ** 9))
+    assert tail.ratio(stream, 16, Q) == Q
+    terms = dict(itertools.islice(stream.iter_exact(), 300))
+    assert _term_form_violation(terms, Q, 16, 250) is None
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +537,7 @@ def test_ratio_replay_matches_term_replay(case):
 
 def test_empirical_tail_check_passes_on_sound_setup():
     q = Fraction(1, 3)
-    rows = empirical_tail_check(geometric_stream(q), geometric_tail(q))
+    rows = empirical_tail_check(geometric_stream(q), GeometricTail())
     assert [row["N"] for row in rows] == [32, 128, 512]
     assert all(row["ok"] for row in rows)
     for row in rows:
@@ -503,10 +545,10 @@ def test_empirical_tail_check_passes_on_sound_setup():
 
 
 def test_empirical_tail_check_flags_unsound_bound():
-    # sup_env lies by a factor 1000, so the claimed tail bound falls
+    # the claimed Q lies by a factor 500, so the claimed tail bound falls
     # under the observed remainder
     q = Fraction(1, 2)
-    lying = GeometricTail(sup_env=lambda n: Fraction(1, 1000))
+    lying = ClaimedQ(q=Fraction(1, 1000))
     rows = empirical_tail_check(geometric_stream(q), lying, probes=(32,))
     assert rows and not rows[0]["ok"]
     # the tail proof refutes the bound at the cut, and the row says where

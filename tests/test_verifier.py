@@ -351,6 +351,34 @@ def test_deep_digits_match_frozen_output():
     assert json.dumps(reports, indent=2) + "\n" == _FROZEN_DEEP.read_text()
 
 
+_N_TERMS_CAP = Path(__file__).parent / "fixtures" / "geometric_n_terms.json"
+
+
+@pytest.mark.parametrize("digits", [15, 200])
+def test_geometric_n_terms_never_rise(digits):
+    """Each geometric-tail entry's ``n_terms`` at 15 and 200 digits is at
+    most the one the doubling checkpoints 16, 32, 64, ... reached, kept
+    in ``geometric_n_terms.json``."""
+    cap = json.loads(_N_TERMS_CAP.read_text())
+    geometric = [k for k, e in REG.items()
+                 if isinstance(e.make_stream()[1], GeometricTail)]
+    assert sorted(geometric) == sorted(cap)
+    got = {eid: verify_identity(REG[eid], digits=digits)["n_terms"]
+           for eid in geometric}
+    rises = {eid: (n, cap[eid][str(digits)]) for eid, n in got.items()
+             if n > cap[eid][str(digits)]}
+    assert not rises
+
+
+def test_thm24_shares_the_single_recipe_cut():
+    # the composite tail cuts where the single-recipe tails do, and
+    # makes up its weight with the degree, without a x4 rung
+    reps = [verify_identity(REG[eid], digits=15) for eid in ("EQ1", "THM24")]
+    assert reps[0]["n_terms"] == reps[1]["n_terms"] == 468
+    assert all(r["verdict"] == "PASS" and r["agreed_digits"] >= 15
+               for r in reps)
+
+
 def test_verify_all_rejects_unknown_id():
     with pytest.raises(KeyError):
         verify_all(ids=["EQ6", "NOPE"])
@@ -412,7 +440,7 @@ def test_exception_in_one_entry_is_contained(monkeypatch, workers):
 def test_undecidable_replay_is_inconclusive():
     # a geometric tail over a stream with no exact step ratios cannot
     # be proven; the entry must not pass unchecked
-    tail = GeometricTail(sup_env=lambda n: Fraction(1, 2))
+    tail = GeometricTail()
     stream = REG["THM24"].make_stream()[0]
     entry = dataclasses.replace(REG["THM24"],
                                 make_stream=lambda: (stream, tail))
