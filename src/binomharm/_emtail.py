@@ -1,13 +1,13 @@
-"""Validated Euler-Maclaurin tail enclosures for binomial-harmonic series.
+"""Term recipes, the harmonic kinds, and validated Euler-Maclaurin tails.
 
-Private engine room behind :class:`series_engine.AsymptoticTail`.  Terms
-of the shape
+Every catalog series is one :class:`TermRecipe`, with D one of the
+:data:`HARMONIC_KINDS`, D_n = kappa + a H_n + b H_2n + c/(2n):
 
-    t_n = R(n) * b(n)^e * D(n),    b(n) = C(2n,n)/4^n,
+    t_n = scale * y^n * (P/Q)(n) * b(n)^e * D(n),    b(n) = C(2n,n)/4^n.
 
-with R = P/Q rational and D one of the harmonic factors, decay like
-n^(-3/2) or n^(-2): summing them to 15 digits directly is hopeless, so
-the tail past N is evaluated analytically instead.
+At y = 1 the terms decay like n^(-3/2) or n^(-2): summing them to 15
+digits directly is hopeless, so the tail past N is evaluated
+analytically instead.
 
 Pipeline, all error-tracked:
 
@@ -35,8 +35,9 @@ degree-J tail falls like N^-(sigma0+J).  :func:`plan` solves the cut N
 and the degree J from a tolerance, the way Johansson (Numer. Algorithms,
 2015) chooses N and M for the Hurwitz zeta function: the cheapest pair
 whose modelled radius meets it, with J >= 4 and N <= 2048, else (2048,
-12).  At 15 digits that is J = 4 at N = 468 (549 for the composite tail
-of Theorem 2.4), where every tail used to run J = 12 at N = 2048.
+12).  At 15 digits that is J = 4 at N = 468, where every tail used to
+run J = 12 at N = 2048; the composite tail of Theorem 2.4 cuts at the
+same N and makes up its weight with J = 5.
 
 Shared work.  Every entry expands the same b(n) and the same harmonic
 asymptotics, and the single-recipe tails of one tolerance sit at the
@@ -77,6 +78,8 @@ from .ball_arith import (
     constant,
     _euler_gamma_ball,
 )
+from .exact_core import SurdQ5
+from .intpoly import padd, peval, pscale, reduce_ratio
 
 # the largest series degree in u = 1/n, the one the tails are tested
 # at; _s_series and _h_series fold their enveloped remainders, at u^17
@@ -86,8 +89,8 @@ J_MAX = 12
 U0 = Fraction(1, 33)         # validity window 0 < u <= U0
 _MIN_A = 33                  # tails valid for a = N+1 >= 33
 
-__all__ = ["EmRecipe", "tail_enclosure", "build_poly", "z_em", "zl_em",
-           "plan", "J_MAX", "U0"]
+__all__ = ["TermRecipe", "HarmonicKind", "HARMONIC_KINDS", "tail_enclosure",
+           "build_poly", "z_em", "zl_em", "plan", "J_MAX", "U0"]
 
 _PREC_CACHE = 256            # entries per prec-keyed cache
 _Z_CACHE = 2048              # (s, a, prec) entries per Hurwitz-sum cache
@@ -117,6 +120,47 @@ def _fr_up(x: Fraction, bits: int = 120) -> Fraction:
 
 def _is_zero_ball(b: Ball) -> bool:
     return b.mid == fzero and b.rad == fzero
+
+
+@dataclass(frozen=True)
+class HarmonicKind:
+    """D_n = kappa + a H_n + b H_2n + c/(2n) for n >= 1; the summation
+    kernel reads D_1 and the increment, :func:`_d_part` the four."""
+
+    kappa: Fraction
+    a: Fraction
+    b: Fraction
+    c: Fraction
+
+    @functools.cached_property
+    def first(self) -> Fraction:
+        """D_1 = kappa + a + 3b/2 + c/2."""
+        return self.kappa + self.a + Fraction(3, 2) * self.b + self.c / 2
+
+    @functools.cached_property
+    def increment(self) -> tuple[tuple, tuple]:
+        """(num, den) in lowest terms, D_{n+1} - D_n = num(n)/den(n):
+        a/(n+1) + b (4n+3)/((2n+1)(2n+2)) - (c/2)/(n(n+1)), over
+        2n(n+1)(2n+1)."""
+        num = padd(padd(pscale(2 * self.a, (0, 1, 2)),
+                        pscale(self.b, (0, 3, 4))), pscale(-self.c, (1, 2)))
+        den = math.lcm(*(v.denominator for v in num))
+        return reduce_ratio(tuple(int(v * den) for v in num),
+                            pscale(den, (0, 2, 6, 4)))
+
+    def delta(self, n: int) -> Fraction:
+        num, den = self.increment
+        return Fraction(peval(num, n), peval(den, n))
+
+
+HARMONIC_KINDS = {kind: HarmonicKind(*map(Fraction, kabc)) for kind, kabc in {
+    "1": (1, 0, 0, 0),                      # the trivial factor D = 1
+    "H": (0, 1, 0, 0),                      # H_n
+    "HD": (0, -1, 1, 0),                    # H_2n - H_n
+    "HDM": (0, -1, 1, -1),                  # H_{2n-1} - H_n
+    "H2N": (0, 0, 1, 0),                    # H_2n
+    "HD_HALF": (0, Fraction(-1, 2), 1, 0),  # H_2n - H_n/2
+}.items()}
 
 
 # --------------------------------------------------------------------
@@ -222,11 +266,6 @@ class USeries:
 
 def _const_ser(prec: int, J: int, v) -> USeries:
     return USeries(prec, J, [v])
-
-
-def _mono_ser(prec: int, J: int, m: int, v) -> USeries:
-    coeffs = [Fraction(0)] * m + [v]
-    return USeries(prec, J, coeffs)
 
 
 # --------------------------------------------------------------------
@@ -388,29 +427,37 @@ def _exp_g(e: int, prec: int, J: int) -> USeries:
     return exp_useries(_g_series(prec, J).scale_frac(Fraction(e)))
 
 
+def _add_times(acc, c: Fraction, x, times):
+    """acc + c x (acc None: the empty sum), exact for c = +-1."""
+    if c == 0:
+        return acc
+    if acc is None:
+        return x if c == 1 else -x if c == -1 else times(x, c)
+    return acc + x if c == 1 else acc - x if c == -1 else acc + times(x, c)
+
+
 @functools.lru_cache(maxsize=_PREC_CACHE)
 def _d_part(kind: str, prec: int, J: int):
-    """Harmonic factor D(n) = alpha_L ln n + D0(u); returns (alpha_L, D0)."""
+    """Harmonic factor D(n) = alpha_L ln n + D0(u); returns (alpha_L, D0).
+
+    With H_n = ln n + gamma + h_n, alpha_L = a + b and D0 = kappa +
+    (a + b) gamma + b ln 2 + b h_2n + a h_n + (c/2) u."""
+    k = HARMONIC_KINDS[kind]
+    alpha_l = k.a + k.b
     ln2 = constant(ConstantName.LN2, prec)
     gamma = _euler_gamma_ball(prec)
     h1 = _h_series(1, prec, J)
     h2 = _h_series(2, prec, J)
-    if kind == "1":
-        return Fraction(0), _const_ser(prec, J, Fraction(1))
-    if kind == "HD":
-        return Fraction(0), _const_ser(prec, J, ln2) + h2 - h1
-    if kind == "HDM":
-        return (Fraction(0), _const_ser(prec, J, ln2) + h2 - h1
-                - _mono_ser(prec, J, 1, Fraction(1, 2)))
-    if kind == "H":
-        return Fraction(1), _const_ser(prec, J, gamma) + h1
-    if kind == "H2N":
-        return Fraction(1), _const_ser(prec, J, ln2 + gamma) + h2
-    if kind == "HD_HALF":
-        return (Fraction(1, 2),
-                _const_ser(prec, J, ln2 + gamma.mul_2exp(-1)) + h2
-                - h1.scale_frac(Fraction(1, 2)))
-    raise ValueError(f"unknown harmonic kind {kind!r}")
+    const = None
+    for c, x in ((k.kappa, Ball.from_int(1, prec)), (k.b, ln2),
+                 (alpha_l, gamma)):
+        const = _add_times(const, c, x, Ball.__mul__)
+    d0 = _const_ser(prec, J, Ball.zero(prec) if const is None else const)
+    for c, h in ((k.b, h2), (k.a, h1)):
+        d0 = _add_times(d0, c, h, USeries.scale_frac)
+    if k.c:
+        d0 = d0 + USeries(prec, J, [Fraction(0), k.c / 2])
+    return alpha_l, d0
 
 
 # --------------------------------------------------------------------
@@ -418,8 +465,10 @@ def _d_part(kind: str, prec: int, J: int):
 # --------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EmRecipe:
-    """t_n = scale * (P/Q)(n) * b(n)^e * D_kind(n), coefficients ascending."""
+class TermRecipe:
+    """t_n = scale * y^n * (P/Q)(n) * b(n)^e * D_kind(n) for n >= 1,
+    coefficients ascending, y exact in Q or Q(sqrt5); its stream, sign
+    and tail are derived by :func:`series_engine.series_from`."""
 
     key: str
     P: tuple
@@ -427,6 +476,7 @@ class EmRecipe:
     e: int
     dkind: str
     scale: Fraction = Fraction(1)
+    y: Fraction | SurdQ5 = Fraction(1)
 
     @property
     def sigma0(self) -> Fraction:
@@ -434,7 +484,7 @@ class EmRecipe:
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
-def build_poly(recipe: EmRecipe, prec: int, J: int = J_MAX):
+def build_poly(recipe: TermRecipe, prec: int, J: int = J_MAX):
     """(sigma0, W0, W1): t_n = sum_j (W0_j + W1_j ln n) n^(-sigma0-j) + rem,
     the sum over j <= J and |rem| <= (W0.rho + W1.rho ln n) n^(-sigma0-J-1)."""
     pstar = tuple(reversed(recipe.P))
@@ -622,10 +672,13 @@ def plan(tol: Fraction, weight: Fraction = Fraction(1)) -> tuple[int, int]:
 # the tail enclosure
 # --------------------------------------------------------------------
 
-def tail_enclosure(recipe: EmRecipe, N: int, prec: int,
+def tail_enclosure(recipe: TermRecipe, N: int, prec: int,
                    J: int = J_MAX) -> Ball:
     """Rigorous ball enclosing sum_{n > N} t_n from the degree-J
-    expansion; requires N + 1 >= 33 and 1 <= J <= J_MAX."""
+    expansion; requires y = 1, N + 1 >= 33 and 1 <= J <= J_MAX."""
+    if recipe.y != 1:
+        raise ValueError(f"an Euler-Maclaurin tail needs y = 1, not "
+                         f"{recipe.y}")
     a = N + 1
     if a < _MIN_A:
         raise ValueError(f"asymptotic tail needs N >= {_MIN_A - 1}")

@@ -186,9 +186,6 @@ class Ball:
         v = mpf_sub(mpf_abs(self.mid), self.rad, self.prec + 10, round_floor)
         return v if mpf_cmp(v, fzero) > 0 else fzero
 
-    def contains_zero(self) -> bool:
-        return mpf_cmp(self.lo(), fzero) <= 0 and mpf_cmp(self.hi(), fzero) >= 0
-
     def is_positive(self) -> bool:
         """True when every point of the ball is > 0."""
         return mpf_cmp(self.lo(), fzero) > 0

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-# A rational number with arbitrary-precision numerator and denominator.
-BigRational = Fraction
-
 #: Largest index accepted by fib/lucas/alpha_power.  Beyond this, exact
 #: arithmetic on the results is no longer practical.
 MAX_INDEX = 2 ** 20
@@ -179,6 +176,8 @@ class SurdQ5:
         return SurdQ5(-self.a, -self.b)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return SurdQ5(self.a * other, self.b * other)
         o = self._coerce(other)
         if o is NotImplemented:
             return o

@@ -23,10 +23,11 @@ except GF_SHIFTED which starts at m=0):
     GF_SHIFTED       sum_{m>=0} C(2m+k, m) x^m      = (1/s)((1-s)/(2x))^k
 
 Each name is evaluated two independent ways: the closed form in ball
-arithmetic (:func:`gf_value`) and the defining series with a geometric
-tail bound (:func:`gf_series_stream` plus the summation engine).  The
-two routes share no code path beyond ball primitives, so their overlap
-is a genuine crosscheck.
+arithmetic (:func:`gf_value`) and the defining series, every one but
+GF_SHIFTED a term recipe at y = 4x, or y = x^2 for (28)-(30), whose
+tail is geometric for |y| < 1 and Euler-Maclaurin at y = 1
+(:func:`gf_series_stream`).  The two routes share no code path beyond
+ball primitives, so their overlap is a genuine crosscheck.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ from typing import Optional
 
 from .ball_arith import Ball, ConstantName, DomainError, constant
 from .exact_core import SurdQ5, alpha_power, catalan_number, fib, lucas
-from .series_engine import GeometricTail, HarmonicStream, SignPattern, d_value
+from .intpoly import pmul
+from .series_engine import (GeometricTail, HarmonicStream, SignPattern,
+                            TermRecipe, d_value, series_from)
 
 __all__ = [
     "GF_NAMES",
     "gf_value",
+    "gf_recipe",
     "gf_series_stream",
     "gf_term",
     "gf_domain",
@@ -261,20 +265,42 @@ def _taylor_fallback(name: str, x: Fraction, prec: int,
 
 
 # --------------------------------------------------------------------
-# series streams with geometric tails
+# series streams, each from its term recipe
 # --------------------------------------------------------------------
 
-def _sign_of(x: Fraction) -> SignPattern:
-    return SignPattern.POSITIVE if x > 0 else SignPattern.ALTERNATING
+# (2n-1)^2 (2n+1), the denominator of (28)-(30)
+_Q_ASIN = pmul((-1, 2), (-1, 2), (1, 2))
 
 
-def _cb_stream(x, kind: str, sign: SignPattern) -> HarmonicStream:
-    """sum C(2n,n) x^n D_n for x in Q or Q(sqrt5).
+def _at_4x(x):
+    return 4 * x, 1
 
-    C(2n+2,n+1) / C(2n,n) = 2(2n+1)/(n+1).
-    """
-    return HarmonicStream(seed=x * 2, A=(2, 4), B=(1, 1), point=x,
-                          kind=kind, sign=sign)
+
+# name: (P, Q, kind, x -> (y, scale)), the series being
+# sum_{n>=1} scale y^n (P/Q)(n) (C(2n,n)/4^n) D_kind(n), the Catalan
+# numbers C(2n,n)/(n+1)
+_RECIPES = {
+    "GF_M": ((1,), (1,), "H", _at_4x),
+    "GF_HD": ((1,), (1,), "HD", _at_4x),
+    "GF_HD_AS_PRINTED": ((1,), (1,), "HD", _at_4x),
+    "GF_HD_HALF": ((1,), (1,), "HD_HALF", _at_4x),
+    "GF_H2N": ((1,), (1,), "H2N", _at_4x),
+    "GF_CAT_HD": ((1,), (1, 1), "HD", _at_4x),
+    "GF_CAT_HALF": ((1,), (1, 1), "HD_HALF", _at_4x),
+    "GF_CAT_H2N": ((1,), (1, 1), "H2N", _at_4x),
+    "GF_EQ28": ((0, 1), _Q_ASIN, "1", lambda x: (x * x, 1)),
+    "GF_EQ29": ((0, 1), pmul(_Q_ASIN, (3, 2)), "1",
+                lambda x: (x * x, x ** 3)),
+    "GF_EQ30": ((0, 0, 2), _Q_ASIN, "1", lambda x: (x * x, 1 / x)),
+}
+
+
+def gf_recipe(name: str, x: Fraction) -> TermRecipe:
+    """The term recipe of the series of ``name`` (any but GF_SHIFTED)
+    at x."""
+    P, Q, kind, at = _RECIPES[name]
+    y, scale = at(x)
+    return TermRecipe(name, P, Q, 1, kind, Fraction(scale), y)
 
 
 def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
@@ -283,47 +309,15 @@ def gf_series_stream(name: str, x: Fraction, k: Optional[int] = None):
     _check_rational_domain(name, x, k)
     if x == 0:
         raise DomainError("series route needs x != 0")
-
-    if name in _CB_KIND or name in _CAT_KIND:
-        if 4 * abs(x) >= 1:
-            raise DomainError(f"series route for {name} needs |x| < 1/4")
-        if name in _CB_KIND:
-            kind = _CB_KIND[name]
-            stream = _cb_stream(x, kind, _sign_of(x))
-        else:
-            # Cat(n+1) / Cat(n) = 2(2n+1)/(n+2)
-            kind = _CAT_KIND[name]
-            stream = HarmonicStream(seed=x, A=(2, 4), B=(2, 1), point=x,
-                                    kind=kind, sign=_sign_of(x))
-        return stream, GeometricTail()
-
-    if name in ("GF_EQ28", "GF_EQ29", "GF_EQ30"):
-        if abs(x) >= 1:
-            raise DomainError(f"series route for {name} needs |x| < 1")
-        x2 = x * x
-        sign = SignPattern.POSITIVE if x > 0 else SignPattern.NEGATIVE
-        if name == "GF_EQ28":
-            # (2n-1)^2 / (2n (2n+3))
-            seed, A, B = x2 / 6, (1, -4, 4), (0, 6, 4)
-            sign = SignPattern.POSITIVE
-        elif name == "GF_EQ29":
-            # (2n-1)^2 / (2n (2n+5))
-            seed, A, B = x ** 5 / 30, (1, -4, 4), (0, 10, 4)
-        else:
-            # (n+1) (2n-1)^2 / (2n^2 (2n+3))
-            seed, A, B = x / 3, (1, -3, 0, 4), (0, 0, 6, 4)
-        return (HarmonicStream(seed=seed, A=A, B=B, point=x2, sign=sign),
-                GeometricTail())
-
-    if name == "GF_SHIFTED":
-        # C(2m+k+2, m+1) / C(2m+k, m)
-        #   = (2m+k+1)(2m+k+2) / ((m+1)(m+k+1))
-        stream = HarmonicStream(
-            seed=Fraction(1), point=x, first_index=0, sign=_sign_of(x),
-            A=((k + 1) * (k + 2), 4 * k + 6, 4), B=(k + 1, k + 2, 1))
-        return stream, GeometricTail()
-
-    raise KeyError(name)
+    if name != "GF_SHIFTED":
+        return series_from(gf_recipe(name, x))
+    # C(2m+k+2, m+1) / C(2m+k, m) = (2m+k+1)(2m+k+2) / ((m+1)(m+k+1)),
+    # of degree 2 where the recipe's P/Q would have degree k
+    stream = HarmonicStream(
+        seed=Fraction(1), point=x, first_index=0,
+        sign=SignPattern.POSITIVE if x > 0 else SignPattern.ALTERNATING,
+        A=((k + 1) * (k + 2), 4 * k + 6, 4), B=(k + 1, k + 2, 1))
+    return stream, GeometricTail()
 
 
 # --------------------------------------------------------------------
@@ -346,6 +340,8 @@ def substitution_point(family: str, r: int) -> SurdQ5:
 
 
 def family_stream(family: str, r: int, kind: str):
-    """(stream, strategy) for a family series at its surd point."""
-    x = substitution_point(family, r)
-    return _cb_stream(x, kind, SignPattern.POSITIVE), GeometricTail()
+    """(stream, strategy) for sum C(2n,n) D_kind(n) x^n at the family's
+    surd point x."""
+    y = 4 * substitution_point(family, r)
+    return series_from(TermRecipe(f"{family}_{kind}", (1,), (1,), 1, kind,
+                                  y=y))

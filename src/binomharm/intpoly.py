@@ -21,7 +21,6 @@ past which c has the sign of its leading coefficient.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional
 
 __all__ = ["peval", "pvalues", "pmul", "padd", "pscale", "taylor_shift",
@@ -98,38 +97,40 @@ def _trim(c) -> list:
     return c
 
 
-def _integral(c) -> list:
-    """A positive multiple of a rational polynomial with coprime integer
-    coefficients."""
-    den = math.lcm(*(Fraction(a).denominator for a in c))
-    ints = [int(Fraction(a) * den) for a in c]
-    g = math.gcd(*ints)
-    return [a // g for a in ints] if g else ints
+def _primitive(c: list) -> list:
+    """c divided by the gcd of its coefficients (a positive content)."""
+    g = math.gcd(*c)
+    return [a // g for a in c] if g > 1 else c
 
 
-def _divmod(f: list, g: list) -> tuple[list, list]:
-    """Quotient and remainder of f by g != 0 over Q, both trimmed."""
-    rem = [Fraction(a) for a in f]
-    quo = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    lead = Fraction(g[-1])
-    for k in range(len(f) - len(g), -1, -1):
-        q = rem[k + len(g) - 1] / lead
-        quo[k] = q
-        if q:
-            for i, b in enumerate(g):
-                rem[k + i] -= q * b
-    return _trim(quo), _trim(rem[:len(g) - 1])
+def _pdivmod(f: list, g: list) -> tuple[list, list, int]:
+    """(q, r, m) with m f = q g + r over the integers, deg r < deg g, r
+    trimmed and m = |lead(g)|^k > 0: pseudo-division by g != 0, so no
+    Fraction is ever formed."""
+    lead, sign = abs(g[-1]), (1 if g[-1] > 0 else -1)
+    r, m = _trim(f), 1
+    q = [0] * max(len(r) - len(g) + 1, 0)
+    while len(r) >= len(g):
+        c, k = sign * r[-1], len(r) - len(g)
+        q = [lead * a for a in q]
+        q[k] += c
+        r = [lead * a for a in r]
+        for i, b in enumerate(g):
+            r[k + i] -= c * b
+        r, m = _trim(r), m * lead
+    return q, r, m
 
 
 def pgcd(f: tuple, g: tuple) -> tuple:
     """The gcd of two integer polynomials, not both zero: the primitive
     gcd over Q times the gcd of the contents, with a positive leading
-    coefficient."""
+    coefficient.  Euclid's algorithm on primitive pseudo-remainders, in
+    integers only."""
     a, b = _trim(f), _trim(g)
     content = math.gcd(*a, *b)
     while b:
-        a, b = b, _integral(_divmod(a, b)[1])
-    prim = _integral(a)
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    prim = _primitive(a)
     if prim[-1] < 0:
         prim = [-x for x in prim]
     return tuple(content * x for x in prim)
@@ -142,10 +143,10 @@ def reduce_ratio(A: tuple, B: tuple) -> tuple[tuple, tuple]:
     g = list(pgcd(A, B))
     out = []
     for f in (A, B):
-        q, r = _divmod(_trim(f), g)
-        if r or any(x.denominator != 1 for x in q):
+        q, r, m = _pdivmod(f, g)
+        if r or any(a % m for a in q):
             raise ArithmeticError("inexact polynomial division")
-        out.append(tuple(int(x) for x in q) or (0,))
+        out.append(tuple(a // m for a in q) or (0,))
     return out[0], out[1]
 
 
@@ -155,11 +156,11 @@ def _derivative(c: list) -> list:
 
 def _sturm(c: list) -> list:
     """Sturm sequence of the square-free part of c (degree >= 1), with
-    each member scaled by a positive rational to integer coefficients."""
-    sf = _integral(_divmod(c, list(pgcd(c, _derivative(c))))[0])
-    seq = [sf, _integral(_derivative(sf))]
+    each member scaled by a positive rational to its primitive part."""
+    sf = _primitive(_pdivmod(c, list(pgcd(c, _derivative(c))))[0])
+    seq = [sf, _primitive(_derivative(sf))]
     while len(seq[-1]) > 1:
-        seq.append([-x for x in _integral(_divmod(seq[-2], seq[-1])[1])])
+        seq.append([-x for x in _primitive(_pdivmod(seq[-2], seq[-1])[1])])
     return seq
 
 

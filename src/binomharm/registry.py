@@ -29,10 +29,9 @@ from .exact_core import (SurdQ5, catalan_number,
                          central_binomial, fib, harmonic, lucas)
 from .genfunc import (family_stream, gf_series_stream, gf_term,
                       substitution_point)
-from .intpoly import pmul, reduce_ratio, taylor_shift
-from .series_engine import (AsymptoticTail, HarmonicStream, SignPattern,
-                            Thm24Stream, Thm24Tail, d_value)
-from ._emtail import EmRecipe
+# bound as _stream_em, the factory the asymptotic entries call: perfbench
+# times the registry's _stream_* factories under that prefix
+from .series_engine import TermRecipe, series_from as _stream_em
 
 __all__ = [
     "ClosedForm", "Rat", "Const", "Surd", "Add", "Sub", "Mul", "Div",
@@ -322,13 +321,6 @@ class IdentityEntry:
         return f"{self.series_desc} = {self.rhs.desc()}"
 
 
-def _surd_pow(x: SurdQ5, n: int) -> SurdQ5:
-    out = SurdQ5(Fraction(1), Fraction(0))
-    for _ in range(n):
-        out = out * x
-    return out
-
-
 def _b4(n: int) -> Fraction:
     """C(2n,n) / 4^n."""
     return Fraction(central_binomial(n), 4 ** n)
@@ -364,12 +356,6 @@ def _lucas_c_tree(r: int) -> ClosedForm:
     return Mul(PowInt(_AL, r), R(lucas(r)))
 
 
-def _surd_h_oracle(x: SurdQ5, kind: str):
-    def oracle(n: int):
-        return _surd_pow(x, n) * Fraction(central_binomial(n)) * d_value(kind, n)
-    return oracle
-
-
 def _family_entry(entry_id: str, paper_eq: str, family_tag: str,
                   gf_family: str, kind: str, r: int,
                   rhs: ClosedForm, series_desc: str,
@@ -381,7 +367,8 @@ def _family_entry(entry_id: str, paper_eq: str, family_tag: str,
         series_desc=series_desc, rhs=rhs,
         make_stream=lambda: family_stream(gf_family, r, kind),
         default_digits=30, max_terms=100000,
-        term_oracle=_surd_h_oracle(x, kind), r=r, notes=notes)
+        term_oracle=lambda n: gf_term("GF_M" if kind == "H" else "GF_HD",
+                                      n, x), r=r, notes=notes)
 
 
 TEMPLATE_IDS = ("FIB_H", "LUCAS_H", "LUCAS_HD", "FIB_HD",
@@ -475,59 +462,37 @@ def entry_eq17_as_printed(x: Fraction) -> IdentityEntry:
 
 # ---- the constant-series entries -------------------------------------
 
-def _rec(key, P, Q, e, dkind, scale=Fraction(1)) -> EmRecipe:
-    return EmRecipe(key=key, P=tuple(P), Q=tuple(Q), e=e, dkind=dkind,
-                    scale=Fraction(scale))
-
-
 _RECIPES = {
     # t_n = (P/Q)(n) * (C(2n,n)/4^n)^e * D_kind(n); Q ascending in n
-    "EQ1": _rec("EQ1", (1,), (1, 2), 1, "HD"),
-    "EQ2": _rec("EQ2", (1,), (0, 1, 2), 1, "HDM"),
-    "EQ3": _rec("EQ3", (1,), (3, 5, 2), 1, "H"),
-    "EQ34": _rec("EQ34", (0, 1), (3, -4, -16, 16, 16), 1, "1"),
-    "EQ35": _rec("EQ35", (0, 1), (3, -4, -16, 16, 16), 1, "1",
-                 scale=Fraction(-1)),
-    "EQ36": _rec("EQ36", (0, 0, 1), (1, -2, -4, 8), 1, "1"),
-    "THM24A": _rec("THM24A", (1,), (1, 3, 2), 1, "HD_HALF"),
-    "THM24B": _rec("THM24B", (1,), (1, 5, 8, 4), 0, "HD_HALF"),
-    "THM25A": _rec("THM25A", (2, 4), (1, 2, 1), 2, "HD"),
-    "THM25B": _rec("THM25B", (1,), (1, 1), 2, "H2N"),
-    "THM26": _rec("THM26", (0, 512, 512),
-                  (27, 36, -204, -288, 336, 576, 192), 0, "1"),
-    "THM27": _rec("THM27", (0, 0, 1), (1, -2, -4, 8), 2, "1"),
+    "EQ1": TermRecipe("EQ1", (1,), (1, 2), 1, "HD"),
+    "EQ2": TermRecipe("EQ2", (1,), (0, 1, 2), 1, "HDM"),
+    "EQ3": TermRecipe("EQ3", (1,), (3, 5, 2), 1, "H"),
+    "EQ34": TermRecipe("EQ34", (0, 1), (3, -4, -16, 16, 16), 1, "1"),
+    "EQ35": TermRecipe("EQ35", (0, 1), (3, -4, -16, 16, 16), 1, "1",
+                       scale=Fraction(-1)),
+    "EQ36": TermRecipe("EQ36", (0, 0, 1), (1, -2, -4, 8), 1, "1"),
+    "THM24A": TermRecipe("THM24A", (1,), (1, 3, 2), 1, "HD_HALF"),
+    "THM24B": TermRecipe("THM24B", (1,), (1, 5, 8, 4), 0, "HD_HALF"),
+    "THM25A": TermRecipe("THM25A", (2, 4), (1, 2, 1), 2, "HD"),
+    "THM25B": TermRecipe("THM25B", (1,), (1, 1), 2, "H2N"),
+    "THM26": TermRecipe("THM26", (0, 512, 512),
+                        (27, 36, -204, -288, 336, 576, 192), 0, "1"),
+    "THM27": TermRecipe("THM27", (0, 0, 1), (1, -2, -4, 8), 2, "1"),
 }
 
 
-def _em_terms(recipe: EmRecipe) -> HarmonicStream:
-    """The stream whose terms are the recipe's, from n = 1.
-
-    b(n+1)/b(n) = (2n+1)/(2n+2) and b(1) = 1/2, so the step ratio is
-    P(n+1) Q(n) (2n+1)^e / (P(n) Q(n+1) (2n+2)^e), kept in lowest terms,
-    and the seed is scale P(1) / (Q(1) 2^e).
-    """
-    P, Q, e = recipe.P, recipe.Q, recipe.e
-    A, B = reduce_ratio(pmul(taylor_shift(P, 1), Q, *[(1, 2)] * e),
-                        pmul(P, taylor_shift(Q, 1), *[(2, 2)] * e))
-    return HarmonicStream(
-        seed=recipe.scale * Fraction(sum(P), sum(Q) * 2 ** e),
-        A=A, B=B,
-        kind=recipe.dkind,
-        sign=(SignPattern.POSITIVE if recipe.scale > 0
-              else SignPattern.NEGATIVE))
-
-
-def _stream_em(*recipes: EmRecipe) -> tuple:
-    """(stream, tail) of an asymptotic entry, derived from its recipe.
-
-    Theorem 2.4 passes the recipes of its two rational components,
-    U D and U D W, and gets the composite stream and tail.
-    """
-    if len(recipes) == 2:
-        return Thm24Stream(*map(_em_terms, recipes)), Thm24Tail(*recipes)
-    recipe, = recipes
-    return _em_terms(recipe), AsymptoticTail(recipe)
-
+def _em_entry(entry_id: str, paper_eq: str, family_tag: str,
+              status: IdentityStatus, series_desc: str, rhs: ClosedForm,
+              term_oracle, max_terms: int = 20000, recipes: tuple = (),
+              notes: str = "") -> IdentityEntry:
+    """An entry summed from its term recipe(s), at 15 digits."""
+    recipes = recipes or (_RECIPES[entry_id],)
+    return IdentityEntry(
+        id=entry_id, paper_eq=paper_eq, family=family_tag, status=status,
+        series_desc=series_desc, rhs=rhs,
+        make_stream=lambda: _stream_em(*recipes),
+        default_digits=15, max_terms=max_terms, term_oracle=term_oracle,
+        notes=notes)
 
 
 # ---- term oracles computed from first principles ---------------------
@@ -589,33 +554,24 @@ def _entries() -> list:
     e = []
 
     # -- prior central-binomial evaluations (1)-(3)
-    e.append(IdentityEntry(
-        id="EQ1", paper_eq="1", family="binomial",
-        status=IdentityStatus.PRIOR_WORK,
-        series_desc="sum C(2n,n) (H_2n - H_n) / (4^n (2n+1))",
-        rhs=Sub(Mul(_PI, _LN2), Mul(R(2), _G)),
-        make_stream=lambda: _stream_em(_RECIPES["EQ1"]),
-        default_digits=15, max_terms=20000,
-        term_oracle=_t_eq1))
-    e.append(IdentityEntry(
-        id="EQ2", paper_eq="2", family="binomial",
-        status=IdentityStatus.PRIOR_WORK,
-        series_desc="sum C(2n,n) (H_{2n-1} - H_n) / (4^n n (2n+1))",
-        rhs=Sub(Add(Add(Add(R(2), Mul(R(2), _LN2)), PowInt(_LN2, 2)),
-                    Mul(R(4), _G)),
-                Mul(_PI, Add(R(1), Mul(R(2), _LN2)))),
-        make_stream=lambda: _stream_em(_RECIPES["EQ2"]),
-        default_digits=15, max_terms=20000,
-        term_oracle=_t_eq2))
-    e.append(IdentityEntry(
-        id="EQ3", paper_eq="3", family="binomial",
-        status=IdentityStatus.PRIOR_WORK,
-        series_desc="sum Cat_n H_n / (4^n (2n+3))",
-        rhs=Add(Sub(Sub(Add(R(2), Mul(R(4), _LN2)), Mul(R(4), _G)), _PI),
-                Mul(_PI, _LN2)),
-        make_stream=lambda: _stream_em(_RECIPES["EQ3"]),
-        default_digits=15, max_terms=20000,
-        term_oracle=_t_eq3))
+    e.append(_em_entry(
+        "EQ1", "1", "binomial", IdentityStatus.PRIOR_WORK,
+        "sum C(2n,n) (H_2n - H_n) / (4^n (2n+1))",
+        Sub(Mul(_PI, _LN2), Mul(R(2), _G)),
+        _t_eq1))
+    e.append(_em_entry(
+        "EQ2", "2", "binomial", IdentityStatus.PRIOR_WORK,
+        "sum C(2n,n) (H_{2n-1} - H_n) / (4^n n (2n+1))",
+        Sub(Add(Add(Add(R(2), Mul(R(2), _LN2)), PowInt(_LN2, 2)),
+                Mul(R(4), _G)),
+            Mul(_PI, Add(R(1), Mul(R(2), _LN2)))),
+        _t_eq2))
+    e.append(_em_entry(
+        "EQ3", "3", "binomial", IdentityStatus.PRIOR_WORK,
+        "sum Cat_n H_n / (4^n (2n+3))",
+        Add(Sub(Sub(Add(R(2), Mul(R(4), _LN2)), Mul(R(4), _G)), _PI),
+            Mul(_PI, _LN2)),
+        _t_eq3))
 
     # -- the master generating function (4), checked at x = 1/8
     e.append(_gf_entry(
@@ -785,32 +741,23 @@ def _entries() -> list:
         "sum (-1)^n Cat_n (H_2n - H_n) / 16^n",
         IdentityStatus.AS_PRINTED_OK))
 
-    e.append(IdentityEntry(
-        id="EQ34", paper_eq="34", family="asin",
-        status=IdentityStatus.AS_PRINTED_OK,
-        series_desc="sum n C(2n,n) / (4^n (2n-1)^2 (2n+1) (2n+3))",
-        rhs=Div(Mul(R(3), _PI), R(256)),
-        make_stream=lambda: _stream_em(_RECIPES["EQ34"]),
-        default_digits=15, max_terms=20000,
-        term_oracle=_t_eq34))
-    e.append(IdentityEntry(
-        id="EQ35", paper_eq="35", family="asin",
-        status=IdentityStatus.AS_PRINTED_OK,
-        series_desc="sum (-1)^(2n+3) n C(2n,n) / (4^n (2n-1)^2 (2n+1) (2n+3))",
-        rhs=Div(Mul(R(-3), _PI), R(256)),
-        make_stream=lambda: _stream_em(_RECIPES["EQ35"]),
-        default_digits=15, max_terms=20000,
-        term_oracle=_t_eq35,
+    e.append(_em_entry(
+        "EQ34", "34", "asin", IdentityStatus.AS_PRINTED_OK,
+        "sum n C(2n,n) / (4^n (2n-1)^2 (2n+1) (2n+3))",
+        Div(Mul(R(3), _PI), R(256)),
+        _t_eq34))
+    e.append(_em_entry(
+        "EQ35", "35", "asin", IdentityStatus.AS_PRINTED_OK,
+        "sum (-1)^(2n+3) n C(2n,n) / (4^n (2n-1)^2 (2n+1) (2n+3))",
+        Div(Mul(R(-3), _PI), R(256)),
+        _t_eq35,
         notes="(-1)^(2n+3) = -1 for every n, so this is the negation "
               "of the previous series termwise"))
-    e.append(IdentityEntry(
-        id="EQ36", paper_eq="36", family="asin",
-        status=IdentityStatus.AS_PRINTED_OK,
-        series_desc="sum n^2 C(2n,n) / (4^n (2n-1)^2 (2n+1))",
-        rhs=Div(Mul(R(3), _PI), R(32)),
-        make_stream=lambda: _stream_em(_RECIPES["EQ36"]),
-        default_digits=15, max_terms=20000,
-        term_oracle=_t_eq36))
+    e.append(_em_entry(
+        "EQ36", "36", "asin", IdentityStatus.AS_PRINTED_OK,
+        "sum n^2 C(2n,n) / (4^n (2n-1)^2 (2n+1))",
+        Div(Mul(R(3), _PI), R(32)),
+        _t_eq36))
 
     # (37)/(38): instances of (17); printed forms inherit its typo
     e.append(_gf_entry(
@@ -855,53 +802,42 @@ def _entries() -> list:
         IdentityStatus.AS_PRINTED_OK))
 
     # -- the four unnumbered theorems
-    e.append(IdentityEntry(
-        id="THM24", paper_eq="thm2.4", family="binomial",
-        status=IdentityStatus.AS_PRINTED_OK,
-        series_desc="sum Cat_n (H_2n - H_n/2) (pi/2 - (2n)!!/(2n+1)!!) "
-                    "/ (4^n (2n+1))",
-        rhs=Add(Add(Mul(R(2), _LN2), Mul(R(7, 8), _Z3)),
-                Mul(Div(_PI, R(12)),
-                    Add(R(-12), Mul(_PI, Add(R(-1), Ln(R(8))))))),
-        make_stream=lambda: _stream_em(_RECIPES["THM24A"],
-                                       _RECIPES["THM24B"]),
-        default_digits=15, max_terms=100000,
-        term_oracle=None,
+    e.append(_em_entry(
+        "THM24", "thm2.4", "binomial", IdentityStatus.AS_PRINTED_OK,
+        "sum Cat_n (H_2n - H_n/2) (pi/2 - (2n)!!/(2n+1)!!) "
+        "/ (4^n (2n+1))",
+        Add(Add(Mul(R(2), _LN2), Mul(R(7, 8), _Z3)),
+            Mul(Div(_PI, R(12)),
+                Add(R(-12), Mul(_PI, Add(R(-1), Ln(R(8))))))),
+        None,
+        max_terms=100000,
+        recipes=(_RECIPES["THM24A"], _RECIPES["THM24B"]),
         notes="pi enters each term; the stream tracks the two rational "
               "components exactly and combines with pi/2 once"))
-    e.append(IdentityEntry(
-        id="THM25A", paper_eq="thm2.5a", family="catalan",
-        status=IdentityStatus.AS_PRINTED_OK,
-        series_desc="sum Cat_n C(2n+2,n+1) (H_2n - H_n) / 16^n",
-        rhs=Mul(Div(R(16), _PI), psi_tree()),
-        make_stream=lambda: _stream_em(_RECIPES["THM25A"]),
-        default_digits=15, max_terms=10 ** 7,
-        term_oracle=_t_thm25a))
-    e.append(IdentityEntry(
-        id="THM25B", paper_eq="thm2.5b", family="catalan",
-        status=IdentityStatus.AS_PRINTED_OK,
-        series_desc="sum Cat_n C(2n,n) H_2n / 16^n",
-        rhs=Mul(Div(R(2), _PI), psi_star_tree()),
-        make_stream=lambda: _stream_em(_RECIPES["THM25B"]),
-        default_digits=15, max_terms=20000,
-        term_oracle=_t_thm25b))
-    e.append(IdentityEntry(
-        id="THM26", paper_eq="thm2.6", family="binomial",
-        status=IdentityStatus.AS_PRINTED_OK,
-        series_desc="sum 1024 n / (3 (2n-1)^2 (2n+1) (2n+3)^2) "
-                    "* C(2n,n)/C(2n+2,n+1)",
-        rhs=_Z2,
-        make_stream=lambda: _stream_em(_RECIPES["THM26"]),
-        default_digits=15, max_terms=10 ** 4,
-        term_oracle=_t_thm26))
-    e.append(IdentityEntry(
-        id="THM27", paper_eq="thm2.7", family="binomial",
-        status=IdentityStatus.AS_PRINTED_OK,
-        series_desc="sum n^2 C(2n,n)^2 / (16^n (2n-1)^2 (2n+1))",
-        rhs=Add(Div(_G, Mul(R(4), _PI)), Div(R(1), Mul(R(8), _PI))),
-        make_stream=lambda: _stream_em(_RECIPES["THM27"]),
-        default_digits=15, max_terms=10 ** 7,
-        term_oracle=_t_thm27))
+    e.append(_em_entry(
+        "THM25A", "thm2.5a", "catalan", IdentityStatus.AS_PRINTED_OK,
+        "sum Cat_n C(2n+2,n+1) (H_2n - H_n) / 16^n",
+        Mul(Div(R(16), _PI), psi_tree()),
+        _t_thm25a,
+        max_terms=10 ** 7))
+    e.append(_em_entry(
+        "THM25B", "thm2.5b", "catalan", IdentityStatus.AS_PRINTED_OK,
+        "sum Cat_n C(2n,n) H_2n / 16^n",
+        Mul(Div(R(2), _PI), psi_star_tree()),
+        _t_thm25b))
+    e.append(_em_entry(
+        "THM26", "thm2.6", "binomial", IdentityStatus.AS_PRINTED_OK,
+        "sum 1024 n / (3 (2n-1)^2 (2n+1) (2n+3)^2) "
+        "* C(2n,n)/C(2n+2,n+1)",
+        _Z2,
+        _t_thm26,
+        max_terms=10 ** 4))
+    e.append(_em_entry(
+        "THM27", "thm2.7", "binomial", IdentityStatus.AS_PRINTED_OK,
+        "sum n^2 C(2n,n)^2 / (16^n (2n-1)^2 (2n+1))",
+        Add(Div(_G, Mul(R(4), _PI)), Div(R(1), Mul(R(8), _PI))),
+        _t_thm27,
+        max_terms=10 ** 7))
     return e
 
 

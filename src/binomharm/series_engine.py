@@ -1,9 +1,12 @@
 """Series summation engine: term streams, tail bounds, rigorous sums.
 
+:func:`series_from`, the one constructor, turns a :class:`TermRecipe`
+into (stream, tail), or two into Theorem 2.4's composite pair.
+
 A :class:`HarmonicStream` holds a series as data: t_n = U_n D_n with
 U_{n+1} = U_n x A(n)/B(n) for a point x of Q or Q(sqrt5), integer
 polynomials A, B as ascending coefficient tuples, and D the harmonic
-factor of a kind in :data:`HARMONIC_KINDS` (D_first and the increment
+factor of a kind in :data:`HARMONIC_KINDS` (D_1 and the increment
 D_{n+1} - D_n as a pair of integer polynomials).  :class:`Thm24Stream`
 combines two of them.  ``iter_exact`` is the exact reference route;
 ``stream.cursor(prec)`` runs one resumable fixed-point kernel (integers
@@ -38,15 +41,18 @@ from typing import Iterator, NamedTuple, Optional
 from mpmath.libmp import fzero, mpf_cmp, to_rational
 
 from . import _emtail
-from .ball_arith import Ball, ConstantName, constant, _fixed_to_ball, _up
+from ._emtail import HARMONIC_KINDS, TermRecipe
+from .ball_arith import (Ball, ConstantName, DomainError, constant,
+                         _fixed_to_ball, _up)
 from .exact_core import SurdQ5, harmonic
 from .intpoly import (_trim, first_negative, lead_sign, padd, peval, pmul,
-                      pscale, pvalues)
+                      pscale, pvalues, reduce_ratio, taylor_shift)
 
 __all__ = [
     "SignPattern",
-    "HarmonicKind",
     "HARMONIC_KINDS",
+    "TermRecipe",
+    "series_from",
     "TermStream",
     "HarmonicStream",
     "Thm24Stream",
@@ -88,37 +94,6 @@ def _fraction_of(t) -> Fraction:
     """Exact Fraction of a raw (dyadic) mpf tuple."""
     p, q = to_rational(t)
     return Fraction(int(p), int(q))
-
-
-# --------------------------------------------------------------------
-# Harmonic-difference kinds: first value and increment of D_n
-# --------------------------------------------------------------------
-
-class HarmonicKind(NamedTuple):
-    """D_first and the increment D_{n+1} - D_n = num(n) / den(n)."""
-
-    first: Fraction
-    num: tuple
-    den: tuple
-
-    def delta(self, n: int) -> Fraction:
-        return Fraction(peval(self.num, n), peval(self.den, n))
-
-
-HARMONIC_KINDS = {
-    # the trivial factor D = 1
-    "1": HarmonicKind(Fraction(1), (0,), (1,)),
-    # H_n: H_1, 1/(n+1)
-    "H": HarmonicKind(Fraction(1), (1,), (1, 1)),
-    # H_2n - H_n: H_2 - H_1, 1/((2n+1)(2n+2))
-    "HD": HarmonicKind(Fraction(1, 2), (1,), (2, 6, 4)),
-    # H_{2n-1} - H_n: 0, 1/(2n) + 1/(2n+1) - 1/(n+1)
-    "HDM": HarmonicKind(Fraction(0), (1, 3), (0, 2, 6, 4)),
-    # H_2n: H_2, 1/(2n+1) + 1/(2n+2)
-    "H2N": HarmonicKind(Fraction(3, 2), (3, 4), (2, 6, 4)),
-    # H_2n - H_n/2: H_2 - H_1/2, 1/(2n+1)
-    "HD_HALF": HarmonicKind(Fraction(1), (1,), (1, 2)),
-}
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,8 +188,7 @@ class HarmonicStream(TermStream):
     ``point`` an exact element of Q or Q(sqrt5) and A, B integer
     polynomials given as ascending coefficient tuples, B(n) != 0 for
     n >= first_index.  D_n is the harmonic factor named by ``kind``, a
-    key of :data:`HARMONIC_KINDS`: 1 (D = 1), H, HD (H_{2n}-H_n),
-    HDM (H_{2n-1}-H_n), H2N (H_{2n}), HD_HALF (H_{2n}-H_n/2).
+    key of :data:`HARMONIC_KINDS`.
 
     The fixed-point kernel keeps U and D as integers at scale 2^p with
     ulp error counters and evaluates A, B and the increment of D on
@@ -292,9 +266,10 @@ class _HarmonicCursor:
             self.x = self.ex = None
             point = Fraction(stream.point)
             self.xn, self.xd = point.numerator, point.denominator
-        first, self.dnum, self.dden = HARMONIC_KINDS[stream.kind]
+        hk = HARMONIC_KINDS[stream.kind]
+        self.dnum, self.dden = hk.increment
         self.trivial = stream.kind == "1"
-        self.d, self.ed = _to_fixed(first, p)
+        self.d, self.ed = _to_fixed(hk.first, p)
         self.s = self.es = self.t = self.et = 0
         self.n = stream.first_index
         self.cut = None
@@ -524,7 +499,7 @@ class GeometricTail(TailStrategy):
             raise TypeError(f"{type(stream).__name__} has no exact step "
                             f"ratios to prove a geometric tail on")
         A, B, first = stream.A, stream.B, stream.first_index
-        _, num, den = HARMONIC_KINDS[stream.kind]
+        num, den = HARMONIC_KINDS[stream.kind].increment
         m = max(first, min(N, _D_INDEX_MAX))
         d_lo = _d_at(stream.kind, first, m)
         p, q = d_lo.numerator, d_lo.denominator
@@ -605,7 +580,7 @@ class AsymptoticTail(_PlannedEmTail):
     """Euler-Maclaurin tail for t_n = scale * R(n) b(n)^e D(n); see the
     private _emtail module for the machinery."""
 
-    recipe: _emtail.EmRecipe
+    recipe: TermRecipe
     kind = "asymptotic"
 
     def _enclose(self, N, prec, J):
@@ -616,8 +591,8 @@ class AsymptoticTail(_PlannedEmTail):
 class Thm24Tail(_PlannedEmTail):
     """Composite tail (pi/2) * tailA - tailB for the double-factorial series."""
 
-    recipe_a: _emtail.EmRecipe
-    recipe_b: _emtail.EmRecipe
+    recipe_a: TermRecipe
+    recipe_b: TermRecipe
     kind = "asymptotic-composite"
     # the radius is (pi/2) rad A + rad B, and pi/2 + 1 < 13/5
     weight = Fraction(13, 5)
@@ -626,6 +601,47 @@ class Thm24Tail(_PlannedEmTail):
         ta = _emtail.tail_enclosure(self.recipe_a, N, prec, J)
         tb = _emtail.tail_enclosure(self.recipe_b, N, prec, J)
         return constant(ConstantName.PI, prec).mul_2exp(-1) * ta - tb
+
+
+# --------------------------------------------------------------------
+# The one constructor: a term recipe to its stream and tail
+# --------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _recipe_step(P: tuple, Q: tuple, e: int) -> tuple[tuple, tuple]:
+    """P(n+1) Q(n) (4n+2)^e / (P(n) Q(n+1) (n+1)^e) in lowest terms."""
+    return reduce_ratio(pmul(taylor_shift(P, 1), Q, *[(2, 4)] * e),
+                        pmul(P, taylor_shift(Q, 1), *[(1, 1)] * e))
+
+
+def _recipe_stream(r: TermRecipe) -> HarmonicStream:
+    """The recipe's terms from n = 1: the C(2n,n) step at the point
+    y/4^e, the seed t_1/D_1 = scale y P(1)/(Q(1) 2^e), and alternating
+    signs when y < 0, else the seed's (which :class:`GeometricTail`
+    proves)."""
+    A, B = _recipe_step(r.P, r.Q, r.e)
+    point = r.y * Fraction(1, 4 ** r.e)
+    c = r.scale * Fraction(peval(r.P, 1) * 2 ** r.e, peval(r.Q, 1))
+    sign = (SignPattern.ALTERNATING if _exact_sign(r.y) < 0
+            else SignPattern.NEGATIVE if c < 0 else SignPattern.POSITIVE)
+    return HarmonicStream(seed=point * c, A=A, B=B, kind=r.dkind,
+                          point=point, sign=sign)
+
+
+def series_from(*recipes: TermRecipe) -> tuple:
+    """(stream, tail) of sum_{n>=1} t_n: a geometric tail when |y| < 1,
+    Euler-Maclaurin when y = 1, else DomainError.  Theorem 2.4 passes
+    the recipes of its components U D and U D W."""
+    if len(recipes) == 2:
+        return (Thm24Stream(*map(_recipe_stream, recipes)),
+                Thm24Tail(*recipes))
+    r, = recipes
+    if _exact_sign(abs(r.y) - 1) < 0:
+        return _recipe_stream(r), GeometricTail()
+    if _exact_sign(r.y - 1) == 0:
+        return _recipe_stream(r), AsymptoticTail(r)
+    raise DomainError(f"the series {r.key} needs |y| < 1 or y = 1, not "
+                      f"y = {r.y}")
 
 
 # --------------------------------------------------------------------

@@ -4,12 +4,13 @@ import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from binomharm import _emtail, registry
-from binomharm.ball_arith import ConstantName, constant
+from binomharm.ball_arith import Ball, ConstantName, constant
 from binomharm.exact_core import central_binomial, harmonic
-from binomharm.series_engine import AsymptoticTail, d_value
+from binomharm.series_engine import HARMONIC_KINDS, AsymptoticTail, d_value
 
 from _frozen import RHS_REFS, Z_REFS, ZL_REFS, assert_contains
 
@@ -269,3 +270,77 @@ def test_scaled_recipe_negates_tail():
     lo, hi = interval(t34 + t35)
     assert lo <= 0 <= hi
     assert t34.is_positive() and t35.is_negative()
+
+
+# ----------------------------------------------------------------------
+# the u-series builders against independent evaluations
+#
+# Each series must satisfy |f(u) - poly(u)| <= rho u^(J+1) at u = 1/n,
+# n in (33, 100, 1000), at every degree a plan can pick, with f
+# evaluated from its definition.  The inputs are chosen so that the
+# remainder term under test dominates rho: for h_sn the terms past
+# degree J folded into rho, for exp(e g) at e = 200 the truncation bound
+# of the exp series.  Dropping either term fails these tests, and at
+# n = 33 rho u^(J+1) is within 10x of the true remainder.
+
+_SERIES_PREC = 256
+_SERIES_NS = (33, 100, 1000)
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _assert_remainder(ser, f, what):
+    J = ser.J
+    for n in _SERIES_NS:
+        u = Fraction(1, n)
+        mid = sum(b.mid_fraction() * u ** m for m, b in enumerate(ser.c))
+        rad = sum(b.rad_fraction() * u ** m for m, b in enumerate(ser.c))
+        err = abs(f(n) - _mp(mid))
+        bound = _mp(ser.rho * u ** (J + 1) + rad)
+        assert err <= bound, f"{what} at n={n}, J={J}"
+        if n == _SERIES_NS[0]:
+            assert bound <= 10 * err, f"{what}: rho slack at J={J}"
+
+
+@pytest.mark.parametrize("J", _PLAN_DEGREES)
+@pytest.mark.parametrize("s", (1, 2))
+def test_h_series_against_digamma(s, J):
+    # h_m = H_m - ln m - gamma = psi(m + 1) - ln m
+    with mpmath.workdps(90):
+        _assert_remainder(
+            _emtail._h_series(s, _SERIES_PREC, J),
+            lambda n: mpmath.digamma(s * n + 1) - mpmath.log(s * n),
+            f"h_{s}n")
+
+
+@pytest.mark.parametrize("J", _PLAN_DEGREES)
+def test_exp_g_against_central_binomial(J):
+    # exp(e g(1/n)) = (b(n) sqrt(pi n))^e, b(n) = C(2n,n)/4^n exact
+    e = 200
+
+    def f(n):
+        b = _mp(Fraction(central_binomial(n), 4 ** n))
+        return (b * mpmath.sqrt(mpmath.pi * n)) ** e
+
+    with mpmath.workdps(90):
+        _assert_remainder(_emtail._exp_g(e, _SERIES_PREC, J), f,
+                          f"exp({e} g)")
+
+
+@pytest.mark.parametrize("J", _PLAN_DEGREES)
+@pytest.mark.parametrize("kind", sorted(HARMONIC_KINDS))
+def test_d_part_encloses_d_value(kind, J):
+    # alpha_L ln n + D0(1/n), widened by rho n^-(J+1), against the
+    # hand-written harmonic factor
+    alpha, d0 = _emtail._d_part(kind, PREC, J)
+    for n in _SERIES_NS:
+        u = Fraction(1, n)
+        val = Ball.from_int(n, PREC).ln() * Ball.from_fraction(alpha, PREC)
+        for m, c in enumerate(d0.c):
+            val = val + c * Ball.from_fraction(u ** m, PREC)
+        val = val.widened(
+            Ball.from_fraction(d0.rho * u ** (J + 1), PREC).abs_hi())
+        lo, hi = interval(val)
+        assert lo <= d_value(kind, n) <= hi, (kind, n)

@@ -13,7 +13,7 @@ from binomharm.exact_core import (SurdQ5, alpha_power, catalan_number, fib,
 from binomharm.genfunc import (GF_NAMES, family_stream, gf_domain,
                                gf_series_stream, gf_term, gf_value, needs_k,
                                substitution_point)
-from binomharm.series_engine import sum_to_precision
+from binomharm.series_engine import AsymptoticTail, sum_to_precision
 
 from _frozen import GF_REFS, assert_contains
 
@@ -125,6 +125,29 @@ def test_as_printed_fixture_disagrees_with_series():
     assert not run.value.overlaps(printed)
     corrected = gf_value("GF_HD", x, run.prec)
     assert run.value.overlaps(corrected)
+
+
+@pytest.mark.parametrize("name,x", [("GF_CAT_HD", Fraction(1, 4)),
+                                    ("GF_CAT_HALF", Fraction(1, 4)),
+                                    ("GF_EQ28", Fraction(1)),
+                                    ("GF_EQ30", Fraction(-1))])
+def test_series_route_at_y_one_takes_the_euler_maclaurin_tail(name, x):
+    # at y = 1 (x = 1/4 for a Catalan series, x = +-1 for an arcsine
+    # kernel) the terms decay like a power of n, and the recipe's tail
+    # is the Euler-Maclaurin one
+    stream, strategy = gf_series_stream(name, x)
+    assert isinstance(strategy, AsymptoticTail)
+    run = sum_to_precision(stream, strategy, 25)
+    assert run.value.overlaps(gf_value(name, x, run.prec))
+    assert run.value.rad_fraction() < Fraction(1, 10 ** 25)
+
+
+def test_series_route_refuses_y_minus_one():
+    # x = -1/4 is in the Catalan closed form's domain, but y = 4x = -1
+    # is neither geometric nor Euler-Maclaurin
+    gf_value("GF_CAT_HD", Fraction(-1, 4), PREC)
+    with pytest.raises(DomainError):
+        gf_series_stream("GF_CAT_HD", Fraction(-1, 4))
 
 
 # ----------------------------------------------------------------------

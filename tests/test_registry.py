@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from binomharm.exact_core import SurdQ5
+from binomharm.genfunc import GF_NAMES, gf_recipe, substitution_point
 from binomharm.intpoly import peval, pgcd
 from binomharm.registry import (IdentityStatus, TEMPLATE_IDS, _RECIPES,
-                                _em_terms, build_template_entry,
+                                build_template_entry,
                                 coverage_report, entry_eq17,
                                 entry_eq17_as_printed, make_registry,
                                 structural_diff)
+from binomharm.series_engine import TermRecipe, series_from
 
 from _frozen import (RHS_REFS, THM26_PARTIAL_3, THM26_PARTIAL_5,
                      assert_contains)
@@ -184,21 +186,43 @@ def test_node_count_is_positive():
 # derived step ratios
 
 
-@pytest.mark.parametrize("key", sorted(_RECIPES))
+def _step_recipes() -> dict:
+    """The twelve asymptotic recipes under their keys, and geometric
+    ones: every generating function but GF_SHIFTED at x = +-1/8, the
+    arcsine kernels also at +-1/2, and the family series at r = 1, 2."""
+    out = dict(_RECIPES)
+    for name in (n for n in GF_NAMES if n != "GF_SHIFTED"):
+        xs = (1, 4) if name in ("GF_EQ28", "GF_EQ29", "GF_EQ30") else (4,)
+        for q in xs:
+            for x in (Fraction(1, 2 * q), Fraction(-1, 2 * q)):
+                out[f"{name}@{x}"] = gf_recipe(name, x)
+    for family in ("FIB", "LUCAS"):
+        for kind in ("H", "HD"):
+            for r in (1, 2):
+                out[f"{family}_{kind}@{r}"] = TermRecipe(
+                    family, (1,), (1,), 1, kind,
+                    y=4 * substitution_point(family, r))
+    return out
+
+
+_STEP_RECIPES = _step_recipes()
+
+
+@pytest.mark.parametrize("key", sorted(_STEP_RECIPES))
 def test_recipe_step_ratio_is_reduced(key):
-    # the stream's A/B against the unreduced transcription
-    # P(n+1) Q(n) (2n+1)^e / (P(n) Q(n+1) (2n+2)^e)
-    recipe = _RECIPES[key]
+    # the kernel's full step, point A(n)/B(n), against the unreduced
+    # transcription y P(n+1) Q(n) (2n+1)^e / (P(n) Q(n+1) (2n+2)^e)
+    recipe = _STEP_RECIPES[key]
     P, Q, e = recipe.P, recipe.Q, recipe.e
-    stream = _em_terms(recipe)
+    stream = series_from(recipe)[0]
     assert pgcd(stream.A, stream.B) == (1,), key
     for n in range(1, 257):
-        unreduced = Fraction(
+        unreduced = recipe.y * Fraction(
             peval(P, n + 1) * peval(Q, n) * (2 * n + 1) ** e,
             peval(P, n) * peval(Q, n + 1) * (2 * n + 2) ** e)
-        assert stream.ratio(n) == unreduced, (key, n)
+        assert stream.point * stream.ratio(n) == unreduced, (key, n)
 
 
 def test_reduced_ratio_degrees():
-    assert [len(_em_terms(_RECIPES[k]).A) - 1 for k in ("THM26", "EQ36")] \
-        == [3, 3]
+    assert [len(series_from(_RECIPES[k])[0].A) - 1
+            for k in ("THM26", "EQ36")] == [3, 3]

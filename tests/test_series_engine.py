@@ -11,16 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomharm import series_engine
-from binomharm.ball_arith import Ball, ConstantName, constant
+from binomharm import _emtail, series_engine
+from binomharm.ball_arith import Ball, ConstantName, DomainError, constant
 from binomharm.exact_core import SurdQ5, harmonic
 from binomharm.genfunc import family_stream, substitution_point
 from binomharm.registry import (TEMPLATE_IDS, build_template_entry,
                                 make_registry)
-from binomharm.series_engine import (GeometricTail, HarmonicStream,
-                                     PrecisionNotReached, SignPattern,
-                                     TailHypothesisViolation, d_value,
-                                     empirical_tail_check, sum_to_precision)
+from binomharm.series_engine import (AsymptoticTail, GeometricTail,
+                                     HarmonicStream, PrecisionNotReached,
+                                     SignPattern, TailHypothesisViolation,
+                                     TermRecipe, d_value,
+                                     empirical_tail_check, series_from,
+                                     sum_to_precision)
 
 PREC = 200
 
@@ -67,6 +69,46 @@ def test_d_value_definitions(kind, n):
         "HD_HALF": harmonic(2 * n) - harmonic(n) / 2,
     }[kind]
     assert d_value(kind, n) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(series_engine.HARMONIC_KINDS))
+def test_harmonic_table_matches_d_value(kind):
+    # D_1 and the increments derived from (kappa, a, b, c), summed,
+    # against the hand-written reference, n = 1..300
+    hk = series_engine.HARMONIC_KINDS[kind]
+    d = hk.first
+    for n in range(1, 301):
+        assert d == d_value(kind, n), (kind, n)
+        d += hk.delta(n)
+
+
+# ----------------------------------------------------------------------
+# the one constructor: a recipe's sign and tail follow from y
+
+
+def test_series_from_derives_sign_and_tail_from_y():
+    base = TermRecipe("T", (1,), (1, 1), 1, "HD")
+    surd = 4 * substitution_point("FIB", 1)
+    cases = [(base, SignPattern.POSITIVE, AsymptoticTail),
+             (dataclasses.replace(base, scale=Fraction(-3)),
+              SignPattern.NEGATIVE, AsymptoticTail),
+             (dataclasses.replace(base, y=Fraction(-1, 2)),
+              SignPattern.ALTERNATING, GeometricTail),
+             (dataclasses.replace(base, y=surd, scale=Fraction(-1)),
+              SignPattern.NEGATIVE, GeometricTail),
+             (dataclasses.replace(base, y=-surd), SignPattern.ALTERNATING,
+              GeometricTail)]
+    for recipe, sign, tail in cases:
+        stream, strategy = series_from(recipe)
+        assert (stream.sign, type(strategy)) == (sign, tail), recipe
+    # |y| > 1, or y = -1: neither tail applies
+    for y in (Fraction(-1), Fraction(3, 2), SurdQ5.sqrt5(), -surd * 5):
+        with pytest.raises(DomainError):
+            series_from(dataclasses.replace(base, y=y))
+    # and the Euler-Maclaurin tail refuses every y but 1
+    with pytest.raises(ValueError, match="needs y = 1"):
+        _emtail.tail_enclosure(dataclasses.replace(base, y=Fraction(1, 2)),
+                               64, PREC)
 
 
 # ----------------------------------------------------------------------

@@ -335,8 +335,9 @@ def deep_digits_reports() -> list:
 
 def test_deep_digits_match_frozen_output():
     """The geometric-tail entries and the family templates at 200
-    digits, where the doubling checkpoints reach N = 1024, are
-    byte-identical to the frozen output.  A change that is meant to move
+    digits, where each sum jumps from its first cut at 16 to the cut its
+    proven ratio bound predicts (23 to 1667 terms), are byte-identical
+    to the frozen output.  A change that is meant to move
     them regenerates the fixture with
 
         PYTHONPATH=src:tests python -c "import json, test_verifier as t; \\
