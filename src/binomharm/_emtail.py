@@ -448,10 +448,13 @@ def _d_part(kind: str, prec: int, J: int):
     gamma = _euler_gamma_ball(prec)
     h1 = _h_series(1, prec, J)
     h2 = _h_series(2, prec, J)
+    def times(x, c):  # c x, an exact shift when c = 1/2^k
+        k2 = c.denominator.bit_length() - 1
+        return x.mul_2exp(-k2) if c == Fraction(1, 2 ** k2) else x * c
     const = None
     for c, x in ((k.kappa, Ball.from_int(1, prec)), (k.b, ln2),
                  (alpha_l, gamma)):
-        const = _add_times(const, c, x, Ball.__mul__)
+        const = _add_times(const, c, x, times)
     d0 = _const_ser(prec, J, Ball.zero(prec) if const is None else const)
     for c, h in ((k.b, h2), (k.a, h1)):
         d0 = _add_times(d0, c, h, USeries.scale_frac)

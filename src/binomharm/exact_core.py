@@ -176,8 +176,6 @@ class SurdQ5:
         return SurdQ5(-self.a, -self.b)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SurdQ5(self.a * other, self.b * other)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
