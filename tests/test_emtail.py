@@ -344,3 +344,16 @@ def test_d_part_encloses_d_value(kind, J):
             Ball.from_fraction(d0.rho * u ** (J + 1), PREC).abs_hi())
         lo, hi = interval(val)
         assert lo <= d_value(kind, n) <= hi, (kind, n)
+
+
+def test_d_part_halves_gamma_exactly():
+    # HD_HALF's alpha_L gamma = gamma/2 is an exact shift, so D0 is
+    # (ln 2 + gamma/2) + h_2n - h_n/2 with no rounding beyond its sums
+    J = 8
+    _, d0 = _emtail._d_part("HD_HALF", PREC, J)
+    const = (constant(ConstantName.LN2, PREC)
+             + _emtail._euler_gamma_ball(PREC).mul_2exp(-1))
+    ref = (_emtail.USeries(PREC, J, [const]) + _emtail._h_series(2, PREC, J)
+           - _emtail._h_series(1, PREC, J).scale_frac(Fraction(1, 2)))
+    assert [(b.mid, b.rad) for b in d0.c] == [(b.mid, b.rad) for b in ref.c]
+    assert d0.rho == ref.rho
