@@ -10,11 +10,25 @@ maximal half-ulp.
 
 The module also provides the named mathematical constants used by the
 identity registry.  pi, ln 2 and sqrt5 come from directed libmp
-primitives.  Catalan's constant, zeta(3) and zeta(2) are summed here in
-fixed-point integer arithmetic from fast series with proven geometric
-term-ratio envelopes, with explicit ulp error counters; zeta(2) in
-particular is deliberately not derived from pi, so identities whose
-right-hand side is zeta(2) are checked against an independent route.
+primitives.  Catalan's constant, zeta(3) and zeta(2) are three rows of
+one fixed-point kernel, ``_summed_ball``: each row is a first term t_1,
+a step ratio t_{n+1}/t_n = A(n)/B(n) of integer polynomials, a sign
+pattern and a scale, summed with an explicit ulp error counter.
+
+  * G (Lupas): t_1 = 608/9, A = 32n^3 (2n-1)(40n^2+56n+19),
+    B = (4n+1)^2 (4n+3)^2 (40n^2-24n+3), alternating, scale 2^-6;
+  * zeta(3): t_1 = 1/2, A = n^3, B = 2(n+1)^2 (2n+1), alternating,
+    scale 5/2;
+  * zeta(2): t_1 = 1/2, A = n^2, B = 2(n+1)(2n+1), positive, scale 3.
+
+The stop rule's tail allowance assumes every later ratio is below 1/4,
+and that holds for every n >= 1, not only for the terms summed: B - 4A,
+Taylor-shifted to n = 1, has the coefficients (8555, 41432, 77576,
+70016, 30464, 5120) for G, (20, 28, 10) for zeta(3) and (8, 6) for
+zeta(2), all positive.  The kernel also checks 4A(n) < B(n) exactly at
+each summed n.  zeta(2) in particular is deliberately not derived from
+pi, so identities whose right-hand side is zeta(2) are checked against
+an independent route.
 """
 
 from __future__ import annotations
@@ -22,7 +36,9 @@ from __future__ import annotations
 import enum
 import threading
 from fractions import Fraction
+from functools import partial
 from math import ceil, log2
+from typing import Callable, NamedTuple
 
 from mpmath.libmp import (
     fone,
@@ -150,11 +166,6 @@ class Ball:
         raise ArithmeticError(
             "surd conversion failed to reach relative accuracy "
             f"(prec={prec}); is the value zero?")
-
-    @staticmethod
-    def from_man_exp(man: int, exp: int, prec: int) -> "Ball":
-        """Exact dyadic value man * 2^exp with zero radius."""
-        return Ball(from_man_exp(man, exp), fzero, prec)
 
     @staticmethod
     def _from_endpoint_tuples(lo, hi, prec: int) -> "Ball":
@@ -469,100 +480,70 @@ def _alpha_ball(prec):
     return (_sqrt5_ball(prec + 10) + 1).mul_2exp(-1)
 
 
-def _check_ratio_envelope(kind, n, num: int, den: int, qnum: int, qden: int):
-    """Runtime check that |t_{n+1}/t_n| = num/den stays within qnum/qden."""
-    if num * qden > qnum * den:
-        raise ArithmeticError(
-            f"{kind}: term ratio {num}/{den} exceeded the declared "
-            f"envelope {qnum}/{qden} at n={n}")
+class _Row(NamedTuple):
+    """A summed constant: scale * sum_{n>=1} (+-1)^(n-1) t_n, with
+    t_1 = ``t1`` and t_{n+1} = t_n A(n)/B(n)."""
+
+    t1: Fraction
+    A: Callable[[int], int]
+    B: Callable[[int], int]
+    alternating: bool
+    scale: Fraction
 
 
-def _catalan_fixed(prec: int):
-    """Catalan's constant by the Lupas alternating series, fixed point.
+#: B - 4A, Taylor-shifted to n = 1, has only positive coefficients in
+#: every row, so A(n)/B(n) < 1/4 for every n >= 1 (see the module
+#: docstring); the kernel still checks it exactly at each summed n.
+_ROWS = {
+    # Lupas: G = 2^-6 sum (-1)^(n-1) 2^(8n) (40n^2-24n+3) (n!)^2 ((2n)!)^3
+    #                     / (n^3 (2n-1) ((4n)!)^2)
+    ConstantName.CATALAN_G: _Row(
+        Fraction(608, 9),
+        lambda n: 32 * n ** 3 * (2 * n - 1) * (40 * n * n + 56 * n + 19),
+        lambda n: ((4 * n + 1) * (4 * n + 3)) ** 2 * (40 * n * n - 24 * n + 3),
+        True, Fraction(1, 64)),
+    # zeta(3) = (5/2) sum (-1)^(n-1) / (n^3 C(2n,n))
+    ConstantName.ZETA3: _Row(
+        Fraction(1, 2), lambda n: n ** 3,
+        lambda n: 2 * (n + 1) ** 2 * (2 * n + 1), True, Fraction(5, 2)),
+    # zeta(2) = 3 sum 1 / (n^2 C(2n,n)), independent of pi
+    ConstantName.ZETA2: _Row(
+        Fraction(1, 2), lambda n: n * n,
+        lambda n: 2 * (n + 1) * (2 * n + 1), False, Fraction(3)),
+}
 
-    G = (1/64) sum_{n>=1} (-1)^(n-1) 2^(8n) (40n^2-24n+3) (n!)^2 ((2n)!)^3
-                          / (n^3 (2n-1) ((4n)!)^2)
 
-    The absolute term ratio is 32n^3(2n-1)(40n^2+56n+19) /
-    ((4n+1)^2 (4n+3)^2 (40n^2-24n+3)), increasing toward 1/4; the series
-    is alternating with envelope 4/15, both checked at runtime.
-    Returns (scaled_sum, ulp_error_bound) at scale 2^wp.
+def _summed_ball(name: ConstantName, prec: int) -> Ball:
+    """Sum one row of ``_ROWS`` in fixed point at scale 2^wp, with an
+    ulp error counter on the running term.
+
+    The sum stops at the first term t with t <= et.  The true term is
+    then at most t + et, and with every later ratio below 1/4 the true
+    tail is below et + 2 for an alternating row and below t + et + 2
+    for a positive one; the error bound takes that on.  The scale is
+    applied after summing, its denominator a power of two.
     """
+    row = _ROWS[name]
     wp = prec + 30
-    one = 1 << wp
-    a, ea = one, 0              # running product with ulp error counter
-    s, es = 0, 0
-    n = 1
-    prev_t = None
-    while True:
-        num = 32 * n ** 3 * (2 * n - 1)
-        den = (4 * n - 1) ** 2 * (4 * n - 3) ** 2
-        a = a * num // den
-        ea = ea * num // den + 2
-        tn = 40 * n * n - 24 * n + 3
-        td = n ** 3 * (2 * n - 1)
-        t = a * tn // td
-        et = ea * tn // td + 2
-        if prev_t is not None and t > et << 4:
-            # guards only meaningful while terms dominate their error counters
-            _check_ratio_envelope("catalan_g", n, t + et, prev_t, 4, 15)
-            if t - et > prev_t:
-                raise ArithmeticError("catalan_g: terms stopped decreasing")
-        s += t if n % 2 == 1 else -t
-        es += et
-        if t <= et:
-            # remaining true tail is below the error envelope already
-            es += et + 2
-            break
-        prev_t = t
-        n += 1
-    return s, es
-
-
-def _apery_fixed(prec: int):
-    """zeta(3) = (5/2) sum (-1)^(n-1) / (n^3 C(2n,n)); ratio < 1/4 for all n."""
-    wp = prec + 30
-    t, et = (1 << wp) // 2, 1   # t_1 = 1/2
+    t, et = (row.t1.numerator << wp) // row.t1.denominator, 1
     s, es = 0, 0
     n = 1
     while True:
-        s += t if n % 2 == 1 else -t
+        s += -t if row.alternating and n % 2 == 0 else t
         es += et
         if t <= et:
-            es += et + 2
+            es += et + 2 if row.alternating else t + et + 2
             break
-        num = n ** 3
-        den = 2 * (n + 1) ** 2 * (2 * n + 1)
-        _check_ratio_envelope("zeta3", n, num, den, 1, 4)
-        t = t * num // den
-        et = et * num // den + 2
+        a, b = row.A(n), row.B(n)
+        if 4 * a >= b:
+            raise ArithmeticError(
+                f"{name.value}: term ratio {a}/{b} is not below 1/4 at n={n}")
+        t = t * a // b
+        et = et * a // b + 2
         n += 1
-    return s, es
-
-
-def _zeta2_fixed(prec: int):
-    """zeta(2) = 3 sum 1 / (n^2 C(2n,n)); ratio < 1/4 for all n.
-
-    Independent of pi, so pi^2/6 comparisons are a genuine crosscheck.
-    """
-    wp = prec + 30
-    t, et = (1 << wp) // 2, 1   # t_1 = 1/2
-    s, es = 0, 0
-    n = 1
-    while True:
-        s += t
-        es += et
-        if t <= et:
-            # positive series: true tail <= t_true * (1/4)/(3/4) <= t + et
-            es += t + et + 2
-            break
-        num = n * n
-        den = 2 * (n + 1) * (2 * n + 1)
-        _check_ratio_envelope("zeta2", n, num, den, 1, 4)
-        t = t * num // den
-        et = et * num // den + 2
-        n += 1
-    return s, es
+    k, d = row.scale.numerator, row.scale.denominator
+    return _fixed_to_ball(k * s, k * es, wp, prec).mul_2exp(
+        1 - d.bit_length())
 
 
 def _fixed_to_ball(s: int, es: int, wp: int, prec: int) -> Ball:
@@ -572,30 +553,10 @@ def _fixed_to_ball(s: int, es: int, wp: int, prec: int) -> Ball:
     return Ball(mid, rad, prec)
 
 
-def _catalan_ball(prec):
-    wp = prec + 30
-    s, es = _catalan_fixed(prec)
-    return _fixed_to_ball(s, es, wp, prec).mul_2exp(-6)
-
-
-def _zeta3_ball(prec):
-    wp = prec + 30
-    s, es = _apery_fixed(prec)
-    return _fixed_to_ball(5 * s, 5 * es, wp, prec).mul_2exp(-1)
-
-
-def _zeta2_ball(prec):
-    wp = prec + 30
-    s, es = _zeta2_fixed(prec)
-    return _fixed_to_ball(3 * s, 3 * es, wp, prec)
-
-
 _COMPUTE = {
     ConstantName.PI: _pi_ball,
     ConstantName.LN2: _ln2_ball,
-    ConstantName.CATALAN_G: _catalan_ball,
-    ConstantName.ZETA3: _zeta3_ball,
     ConstantName.SQRT5: _sqrt5_ball,
     ConstantName.ALPHA: _alpha_ball,
-    ConstantName.ZETA2: _zeta2_ball,
+    **{name: partial(_summed_ball, name) for name in _ROWS},
 }

@@ -228,6 +228,10 @@ def _print_suite_table(result: dict) -> None:
 
 
 def _cmd_verify(cfg: CliConfig) -> int:
+    if cfg.r is not None and cfg.id not in TEMPLATE_IDS:
+        print(f"error: --r applies only to family templates {TEMPLATE_IDS}",
+              file=sys.stderr)
+        return 2
     if cfg.run_all:
         result = verify_all(digits=cfg.digits, max_terms=cfg.max_terms,
                             workers=cfg.workers)
@@ -239,9 +243,6 @@ def _cmd_verify(cfg: CliConfig) -> int:
 
     try:
         if cfg.r is not None:
-            if cfg.id not in TEMPLATE_IDS:
-                raise KeyError(
-                    f"--r applies only to family templates {TEMPLATE_IDS}")
             entry = build_template_entry(cfg.id, cfg.r)
         else:
             reg = make_registry()

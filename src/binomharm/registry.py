@@ -20,6 +20,7 @@ how many tree nodes separate them from the corrected form.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -109,60 +110,58 @@ class Surd(ClosedForm):
 
 
 @dataclass(frozen=True)
-class Add(ClosedForm):
+class _Unary(ClosedForm):
+    """A node applying ``op`` to one subtree, printed through ``fmt``."""
+
     a: ClosedForm
-    b: ClosedForm
+    # looked up on the class, so a function such as Ball.sqrt is not
+    # bound to the node
+    op = None
+    fmt = ""
 
     def children(self):
-        return (self.a, self.b)
+        return (self.a,)
 
     def _eval(self, prec):
-        return self.a._eval(prec) + self.b._eval(prec)
+        return type(self).op(self.a._eval(prec))
 
     def desc(self):
-        return f"({self.a.desc()} + {self.b.desc()})"
+        return self.fmt.format(self.a.desc())
 
 
 @dataclass(frozen=True)
-class Sub(ClosedForm):
+class _Binary(ClosedForm):
+    """A node applying ``op`` to two subtrees, printed through ``fmt``."""
+
     a: ClosedForm
     b: ClosedForm
+    op = None
+    fmt = ""
 
     def children(self):
         return (self.a, self.b)
 
     def _eval(self, prec):
-        return self.a._eval(prec) - self.b._eval(prec)
+        return type(self).op(self.a._eval(prec), self.b._eval(prec))
 
     def desc(self):
-        return f"({self.a.desc()} - {self.b.desc()})"
+        return self.fmt.format(self.a.desc(), self.b.desc())
 
 
-@dataclass(frozen=True)
-class Mul(ClosedForm):
-    a: ClosedForm
-    b: ClosedForm
-
-    def children(self):
-        return (self.a, self.b)
-
-    def _eval(self, prec):
-        return self.a._eval(prec) * self.b._eval(prec)
-
-    def desc(self):
-        return f"{self.a.desc()}*{self.b.desc()}"
+class Add(_Binary):
+    op, fmt = operator.add, "({} + {})"
 
 
-@dataclass(frozen=True)
-class Div(ClosedForm):
-    a: ClosedForm
-    b: ClosedForm
+class Sub(_Binary):
+    op, fmt = operator.sub, "({} - {})"
 
-    def children(self):
-        return (self.a, self.b)
 
-    def _eval(self, prec):
-        return self.a._eval(prec) / self.b._eval(prec)
+class Mul(_Binary):
+    op, fmt = operator.mul, "{}*{}"
+
+
+class Div(_Binary):
+    op = operator.truediv
 
     def desc(self):
         bd = self.b.desc()
@@ -171,46 +170,20 @@ class Div(ClosedForm):
         return f"{self.a.desc()}/{bd}"
 
 
-@dataclass(frozen=True)
-class Neg(ClosedForm):
-    a: ClosedForm
-
-    def children(self):
-        return (self.a,)
-
-    def _eval(self, prec):
-        return -self.a._eval(prec)
-
-    def desc(self):
-        return f"-{self.a.desc()}"
+class Neg(_Unary):
+    op, fmt = operator.neg, "-{}"
 
 
-@dataclass(frozen=True)
-class Sqrt(ClosedForm):
-    a: ClosedForm
-
-    def children(self):
-        return (self.a,)
-
-    def _eval(self, prec):
-        return self.a._eval(prec).sqrt()
-
-    def desc(self):
-        return f"sqrt({self.a.desc()})"
+class Sqrt(_Unary):
+    op, fmt = Ball.sqrt, "sqrt({})"
 
 
-@dataclass(frozen=True)
-class Ln(ClosedForm):
-    a: ClosedForm
+class Ln(_Unary):
+    op, fmt = Ball.ln, "ln({})"
 
-    def children(self):
-        return (self.a,)
 
-    def _eval(self, prec):
-        return self.a._eval(prec).ln()
-
-    def desc(self):
-        return f"ln({self.a.desc()})"
+class Asin(_Unary):
+    op, fmt = Ball.asin, "asin({})"
 
 
 @dataclass(frozen=True)
@@ -226,20 +199,6 @@ class PowInt(ClosedForm):
 
     def desc(self):
         return f"{self.a.desc()}^{self.n}"
-
-
-@dataclass(frozen=True)
-class Asin(ClosedForm):
-    a: ClosedForm
-
-    def children(self):
-        return (self.a,)
-
-    def _eval(self, prec):
-        return self.a._eval(prec).asin()
-
-    def desc(self):
-        return f"asin({self.a.desc()})"
 
 
 def structural_diff(a: ClosedForm, b: ClosedForm) -> int:

@@ -685,21 +685,20 @@ def sum_to_precision(stream: TermStream, strategy: TailStrategy,
     cursor = stream.cursor(prec)
     planned = strategy.plan_terms(tol / 2, max_terms)
     if planned is not None:
-        # the last enclosure, kept for the report when the budget runs out
+        # the last cut summed and its enclosure, kept for the report when
+        # the budget runs out; no cut summed reports 0 terms
         best, best_n = None, 0
         N = planned
         while N <= max_terms:
             total, last = cursor.advance(N)
             tail = strategy.tail_ball(stream, N, prec, last, tol / 2)
-            if tail is not None:
-                if mpf_cmp(tail.rad, half_tol_ball.mid) <= 0:
-                    return SumResult(total + tail, N, prec, tail)
-                best, best_n = total + tail, N
+            if tail is not None and mpf_cmp(tail.rad, half_tol_ball.mid) <= 0:
+                return SumResult(total + tail, N, prec, tail)
+            best, best_n = None if tail is None else total + tail, N
             N *= 4
         raise PrecisionNotReached(
             f"needs about {N} terms, budget is {max_terms}",
-            best=best, n_terms=N if best is None else best_n,
-            requested_digits=target_digits)
+            best=best, n_terms=best_n, requested_digits=target_digits)
 
     # A geometric tail: prove Q at the first cut (doubling while no Q
     # below 1 is derived), then jump to the cut where |t_N| Q/(1 - Q),

@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
+from binomharm import ball_arith
 from binomharm.ball_arith import (Ball, ConstantName, DomainError, ball_sum,
                                   constant, working_precision)
 from binomharm.exact_core import SurdQ5, alpha_power, beta_power
+from binomharm.intpoly import first_negative, padd, peval, pmul, pscale
 
 from _frozen import CONSTANTS, assert_contains
 
@@ -215,3 +217,58 @@ def test_constants_at_high_precision_are_consistent():
     lo1, hi1 = interval(constant(ConstantName.ZETA3, 150))
     lo2, hi2 = interval(constant(ConstantName.ZETA3, 700))
     assert lo1 <= lo2 <= hi2 <= hi1
+
+
+# ----------------------------------------------------------------------
+# the summation kernel's rows, against independent transcriptions
+
+#: (A, B) of each summed constant as ascending integer coefficients
+_ROW_POLYS = {
+    # 32 n^3 (2n-1) (40n^2+56n+19) / ((4n+1)^2 (4n+3)^2 (40n^2-24n+3))
+    ConstantName.CATALAN_G: (pmul((0, 0, 0, 32), (-1, 2), (19, 56, 40)),
+                             pmul((1, 4), (1, 4), (3, 4), (3, 4),
+                                  (3, -24, 40))),
+    # n^3 / (2 (n+1)^2 (2n+1))
+    ConstantName.ZETA3: ((0, 0, 0, 1), pmul((2,), (1, 1), (1, 1), (1, 2))),
+    # n^2 / (2 (n+1) (2n+1))
+    ConstantName.ZETA2: ((0, 0, 1), pmul((2,), (1, 1), (1, 2))),
+}
+
+_MPMATH_VALUE = {
+    ConstantName.CATALAN_G: lambda: mp.catalan,
+    ConstantName.ZETA3: lambda: mp.zeta(3),
+    ConstantName.ZETA2: lambda: mp.zeta(2),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROW_POLYS))
+def test_summed_row_matches_its_transcription(name):
+    row = ball_arith._ROWS[name]
+    A, B = _ROW_POLYS[name]
+    assert [(row.A(n), row.B(n)) for n in range(1, 201)] == [
+        (peval(A, n), peval(B, n)) for n in range(1, 201)]
+    # 4 A(n) < B(n), that is B - 4A - 1 >= 0, for every n >= 1
+    assert first_negative(padd(padd(B, pscale(-4, A)), (-1,)), 1) is None
+
+
+@pytest.mark.parametrize("prec", [53, 200, 1000, 3000])
+@pytest.mark.parametrize("name", list(_ROW_POLYS))
+def test_summed_constant_encloses_mpmath(name, prec):
+    ball = constant(name, prec)
+    with mp.workprec(2 * prec):
+        man, exp = _MPMATH_VALUE[name]().man_exp
+        v = Fraction(man) * Fraction(2) ** exp
+    slack = (abs(v) + 1) / Fraction(2) ** (2 * prec - 4)
+    lo, hi = interval(ball)
+    assert lo - slack <= v <= hi + slack
+    # radius contract: rad <= 2^(2-prec) |mid|
+    assert ball.rad_fraction() <= abs(ball.mid_fraction()) * 4 / Fraction(2 ** prec)
+
+
+def test_summed_row_rejects_a_ratio_of_a_quarter(monkeypatch):
+    # 2n^2 / (2 (n+1) (2n+1)) passes 1/4 at n = 2
+    row = ball_arith._ROWS[ConstantName.ZETA2]
+    monkeypatch.setitem(ball_arith._ROWS, ConstantName.ZETA2,
+                        row._replace(A=lambda n: 2 * n * n))
+    with pytest.raises(ArithmeticError, match="not below 1/4 at n=2"):
+        ball_arith._summed_ball(ConstantName.ZETA2, 60)

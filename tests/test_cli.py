@@ -135,6 +135,11 @@ def test_verify_r_on_non_template(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_all_rejects_r(capsys):
+    assert run(["verify", "--all", "--r", "3"]) == 2
+    assert "error: --r applies only to" in capsys.readouterr().err
+
+
 def test_verify_bad_r(capsys):
     assert run(["verify", "--id", "FIB_H", "--r", "0"]) == 2
     assert "error:" in capsys.readouterr().err

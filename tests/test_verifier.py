@@ -205,6 +205,16 @@ def test_planned_budget_exhaustion_keeps_best_enclosure(eid):
     assert "series_mid" in rep and "series_rad" in rep
 
 
+def test_budget_below_the_planned_cut_reports_no_terms():
+    # EQ34's planned cut at 15 digits is 468: a budget of 31 sums no
+    # cut, so the report counts no terms and has no series enclosure
+    rep = verify_identity(REG["EQ34"], digits=15, max_terms=31)
+    assert rep["verdict"] == "INCONCLUSIVE"
+    assert rep["mode"] == "budget-exhausted"
+    assert rep["n_terms"] == 0
+    assert "series_mid" not in rep and "series_rad" not in rep
+
+
 _ASYMPTOTIC_IDS = ("EQ1", "EQ2", "EQ3", "EQ34", "EQ35", "EQ36", "THM24",
                    "THM25A", "THM25B", "THM26", "THM27")
 
