@@ -14,7 +14,11 @@ Pipeline, all error-tracked:
 1. Expand ln(b(n) sqrt(pi n)) as a power series in u = 1/n with a tail
    coefficient rho certifying |remainder| <= rho u^(J+1) on 0 < u <= 1/33
    (Stirling series for ln Gamma with enveloped remainders), then
-   exponentiate the series with a rigorous exp remainder.
+   exponentiate the series with a rigorous exp remainder.  Each Stirling
+   term c (n+a)^-d, d = 2j-1, expands as c (-a)^i C(d-1+i, i) u^(d+i) in
+   exact rationals; the coefficients are summed exactly and rounded once,
+   and rho takes the Lagrange remainder c C(J, d-1) a^(J-d+1) of (1 +
+   au)^-d, au >= 0, and c U0^(d-J-1) for a term of degree d > J.
 2. Expand the harmonic factor via H_m = ln m + gamma + h_m with the
    enveloped asymptotic series for h_m, so each term becomes
 
@@ -23,12 +27,19 @@ Pipeline, all error-tracked:
 3. Sum over n > N exactly in terms of the Hurwitz-type sums
    Z(s,a) = sum n^-s and ZL(s,a) = sum n^-s ln n, both evaluated by
    Euler-Maclaurin with first-omitted-term (Z) and derivative-sign (ZL)
-   remainder bounds.
+   remainder bounds.  For integer a and s with denominator 1 or 2,
+   a^-s = a^-t (sqrt a) with t an integer, so every Euler-Maclaurin term
+   and each remainder is that factor times an exact rational (for ZL,
+   R1 ln a + R0); each bracket is summed in integers over one
+   denominator, rounded once and multiplied by at most one sqrt a ball.
 
 Every series is a :class:`USeries`: ball coefficients up to degree J
 plus an exact rational rho with |f(u) - poly(u)| <= rho u^(J+1) on the
 validity window.  All bound bookkeeping is exact rational arithmetic;
-only midpoint values live in balls.  Valid for N >= 32 (so a = N+1 >= 33).
+only midpoint values live in balls.  A product forms the coefficients up
+to degree J and bounds the ones above it in exact integers, from the
+midpoints and radii of its factors, without forming them.  Valid for
+N >= 32 (so a = N+1 >= 33).
 
 The degree is a parameter, 1 <= J <= J_MAX = 12, and the remainder of a
 degree-J tail falls like N^-(sigma0+J).  :func:`plan` solves the cut N
@@ -45,17 +56,15 @@ same a = N+1, so the pure pieces are memoized with
 ``functools.lru_cache``, each keyed by its exact arguments, the degree J
 included, and filled on first use (nothing is computed at import):
 
-    _bern(m), _bern_fact(k)     B_m and B_2k/(2k)!, exact, unbounded
+    _bern(m), _bern_fact(K)     B_m, and B_2k/(2k)! for k <= K over one
+                                denominator, exact, unbounded
     _h_series(s, prec, J)       h_{sn} series, D-factor building block
     _g_series(prec, J)          ln(b(n) sqrt(pi n))
     _exp_g(e, prec, J)          exp(e g) = (b(n) sqrt(pi n))^e
     _d_part(kind, prec, J)      the harmonic factor D_kind(n)
     build_poly(recipe, prec, J) the assembled coefficient polynomials
     z_em, zl_em(s, a, prec)     the Hurwitz-type sums, bounded (keyed by a)
-    _apow(a, expo, prec)        the powers of a they share, bounded
-    _ln(a, prec)                ln a, bounded
-    _bern_fact_ball(k, prec),   the balls of B_2k/(2k)! and 4/(2 pi)^(2K)
-    _zl_rem_factor(K, prec)     that zl_em takes at each precision
+    _ln(a, prec), _sqrt(a, prec) ln a and sqrt a, bounded
 
 A cached value is handed to every later caller, so it must never be
 mutated: ``USeries`` operators and :class:`Ball` operations always build
@@ -70,7 +79,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import bernfrac
-from mpmath.libmp import fzero, to_rational
+from mpmath.libmp import fzero, from_rational, round_ceiling, to_rational
 
 from .ball_arith import (
     Ball,
@@ -116,6 +125,28 @@ def _fr_up(x: Fraction, bits: int = 120) -> Fraction:
         return x
     n = (x.numerator << bits) // x.denominator + 1
     return Fraction(n, 1 << bits)
+
+
+def _fixed(balls) -> tuple[list, list, int]:
+    """Exact integers and one exponent e with mid_m = mids[m] 2^e and
+    |mid_m| + rad_m = his[m] 2^e (mpf values are dyadic)."""
+    e = min((t[2] for b in balls for t in (b.mid, b.rad) if t[1]), default=0)
+
+    def val(t):
+        v = t[1] << (t[2] - e) if t[1] else 0
+        return -v if t[0] else v
+
+    mids = [val(b.mid) for b in balls]
+    return mids, [abs(m) + val(b.rad) for m, b in zip(mids, balls)], e
+
+
+def _at_u0(v: list, e: int) -> Fraction:
+    """sum_m v[m] 2^e U0^m, exact, for integers v[m] (U0 = 1/33)."""
+    acc = 0
+    for x in v:
+        acc = acc * U0.denominator + x
+    den = U0.denominator ** (len(v) - 1)
+    return Fraction(acc << e, den) if e >= 0 else Fraction(acc, den << -e)
 
 
 def _is_zero_ball(b: Ball) -> bool:
@@ -198,11 +229,8 @@ class USeries:
         return Ball.from_fraction(Fraction(v), self.prec)
 
     def polybound(self) -> Fraction:
-        tot = Fraction(0)
-        for m, b in enumerate(self.c):
-            if not _is_zero_ball(b):
-                tot += _fr_abs_hi(b) * U0 ** m
-        return _fr_up(tot)
+        _, hi, e = _fixed(self.c)
+        return _fr_up(_at_u0(hi, e))
 
     def bound(self) -> Fraction:
         return _fr_up(self.polybound() + self.rho * U0 ** (self.J + 1))
@@ -240,26 +268,34 @@ class USeries:
         return r
 
     def __mul__(self, other: "USeries") -> "USeries":
-        prec, J = self.prec, self.J
+        J = self.J
         if other.J != J:
             raise ValueError(f"degrees {J} and {other.J} differ")
-        conv = [Ball.zero(prec) for _ in range(2 * J + 1)]
+        r = self._like()
         for i, a in enumerate(self.c):
             if _is_zero_ball(a):
                 continue
-            for j2, b in enumerate(other.c):
-                if _is_zero_ball(b):
-                    continue
-                conv[i + j2] = conv[i + j2] + a * b
-        r = self._like()
-        r.c = conv[: J + 1]
-        fold = Fraction(0)
+            for j2 in range(J + 1 - i):
+                b = other.c[j2]
+                if not _is_zero_ball(b):
+                    r.c[i + j2] = r.c[i + j2] + a * b
+        # the products past degree J are bounded, not formed as balls:
+        # |sum_{i+j=m} a_i b_j| <= |sum mid_i mid_j| + sum (hi_i hi_j -
+        # |mid_i mid_j|), hi = |mid| + rad, in exact integers, so the
+        # cancellation between the midpoint products is kept
+        ma, ha, ea = _fixed(self.c)
+        mb, hb, eb = _fixed(other.c)
+        high = []
         for m in range(J + 1, 2 * J + 1):
-            if not _is_zero_ball(conv[m]):
-                fold += _fr_abs_hi(conv[m]) * U0 ** (m - J - 1)
-        r.rho = _fr_up(fold
-                       + self.polybound() * other.rho
-                       + other.polybound() * self.rho
+            mid = slack = 0
+            for i in range(m - J, J + 1):
+                p = ma[i] * mb[m - i]
+                mid += p
+                slack += ha[i] * hb[m - i] - abs(p)
+            high.append(abs(mid) + slack)
+        r.rho = _fr_up(_at_u0(high, ea + eb)
+                       + _fr_up(_at_u0(ha, ea)) * other.rho
+                       + _fr_up(_at_u0(hb, eb)) * self.rho
                        + self.rho * other.rho * U0 ** (J + 1))
         return r
 
@@ -382,20 +418,35 @@ def _a_series(prec: int, J: int) -> USeries:
     return ser
 
 
-def _s_series(a: Fraction, prec: int, J: int, js: int = 8) -> USeries:
-    """Stirling correction S(n+a) = sum_j B_2j/(2j(2j-1)(n+a)^(2j-1))."""
+def _s_exact(a: Fraction, J: int, js: int = 8) -> tuple[list, Fraction]:
+    """The exact coefficients c[0..J] and rho of the Stirling correction
+    S(n+a) = sum_{j<=js} B_2j/(2j(2j-1)(n+a)^(2j-1)) in u = 1/n, a >= 0.
+
+    With d = 2j-1, (n+a)^-d = u^d (1+au)^-d = u^d sum_i C(d-1+i, i)
+    (-au)^i; the terms of degree d+i <= J are coefficients.  For x = au
+    >= 0 the Lagrange remainder of (1+x)^-d after degree J-d is at most
+    C(J, d-1) x^(J-d+1), and a term of degree d > J is at most u^d."""
     a = Fraction(a)
-    out = USeries(prec, J)
+    c = [Fraction(0)] * (J + 1)
+    rho = Fraction(0)
     for j in range(1, js + 1):
         coef = _bern(2 * j) / (2 * j * (2 * j - 1))
-        deg = 2 * j - 1
-        den = [math.comb(deg, i) * a ** i for i in range(deg + 1)]
-        num = [Fraction(0)] * deg + [coef]
-        out = out + rational_useries(num, den, prec, J)
+        d = 2 * j - 1
+        if d > J:
+            rho += abs(coef) * U0 ** (d - J - 1)
+            continue
+        for i in range(J - d + 1):
+            c[d + i] += coef * (-a) ** i * math.comb(d - 1 + i, i)
+        rho += abs(coef) * math.comb(J, d - 1) * a ** (J - d + 1)
     # enveloped Stirling remainder, first omitted term at (n+a) >= n
     rem = abs(_bern(2 * js + 2)) / Fraction((2 * js + 2) * (2 * js + 1))
-    out.rho = _fr_up(out.rho + rem * U0 ** (2 * js + 1 - (J + 1)))
-    return out
+    return c, rho + rem * U0 ** (2 * js + 1 - (J + 1))
+
+
+def _s_series(a: Fraction, prec: int, J: int, js: int = 8) -> USeries:
+    """S(n+a) as a u-series, each coefficient rounded once."""
+    c, rho = _s_exact(a, J, js)
+    return USeries(prec, J, c, _fr_up(rho))
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
@@ -514,21 +565,16 @@ def build_poly(recipe: TermRecipe, prec: int, J: int = J_MAX):
 # --------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _bern_fact(k: int) -> Fraction:
-    """B_2k / (2k)!, exact."""
-    return _bern(2 * k) / Fraction(math.factorial(2 * k))
+def _bern_fact(K: int) -> tuple[int, list]:
+    """(L, c): B_2k/(2k)! = c[k] / L for 1 <= k <= K, L the least common
+    denominator, exact."""
+    v = [_bern(2 * k) / math.factorial(2 * k) for k in range(1, K + 1)]
+    L = math.lcm(*(x.denominator for x in v))
+    return L, [0] + [x.numerator * (L // x.denominator) for x in v]
 
 
-@functools.lru_cache(maxsize=_PREC_CACHE)
-def _bern_fact_ball(k: int, prec: int) -> Ball:
-    return Ball.from_fraction(_bern_fact(k), prec)
-
-
-@functools.lru_cache(maxsize=_PREC_CACHE)
-def _zl_rem_factor(k_order: int, prec: int) -> Ball:
-    """4 / (2 pi)^(2K), the remainder factor of zl_em at order K."""
-    two_pi = constant(ConstantName.PI, prec).mul_2exp(1)
-    return Ball.from_int(4, prec) / two_pi.pow_int(2 * k_order)
+# a convergent of pi, below it: 4/(2 pi)^(2K) < 4/(2 _PI_LO)^(2K)
+_PI_LO = Fraction(103993, 33102)
 
 
 @functools.lru_cache(maxsize=_Z_CACHE)
@@ -537,33 +583,47 @@ def _ln(a: int, prec: int) -> Ball:
 
 
 @functools.lru_cache(maxsize=_Z_CACHE)
-def _apow(a: int, expo: Fraction, prec: int) -> Ball:
-    """a^expo for integer a >= 2 and expo with denominator 1 or 2."""
-    expo = Fraction(expo)
-    if expo.denominator == 1:
-        return Ball.from_int(a, prec).pow_int(expo.numerator)
-    if expo.denominator == 2:
-        m = expo.numerator // 2          # floor, so the leftover is +1/2
-        base = Ball.from_int(a, prec).pow_int(m)
-        return base * Ball.from_int(a, prec).sqrt()
-    raise ValueError("exponent must be an integer or half-integer")
+def _sqrt(a: int, prec: int) -> Ball:
+    return Ball.from_int(a, prec).sqrt()
+
+
+def _int_exponent(s: Fraction) -> int:
+    """t with a^-s = a^-t, times sqrt a when s is a half-integer."""
+    if s.denominator > 2:
+        raise ValueError("exponent must be an integer or half-integer")
+    return math.ceil(s)
+
+
+def _mpf_up(x: Fraction, d: int):
+    """An mpf upper bound of x/d >= 0."""
+    return from_rational(x.numerator, x.denominator * d, 53, round_ceiling)
 
 
 @functools.lru_cache(maxsize=_Z_CACHE)
 def z_em(s: Fraction, a: int, prec: int, k_order: int = 10) -> Ball:
-    """sum_{n >= a} n^-s with the remainder folded into the radius."""
+    """sum_{n >= a} n^-s with the remainder folded into the radius.
+
+    With a^-s = a^-t (sqrt a), t an integer, every Euler-Maclaurin term
+    is a^-t (sqrt a) times an exact rational: the bracket a/(s-1) + 1/2 +
+    sum_{k<=K} B_2k/(2k)! (s)_(2k-1) a^(1-2k), summed in integers over
+    one denominator and rounded once; the first omitted term of that
+    sum bounds the remainder.
+    """
     s = Fraction(s)
-    val = (_apow(a, 1 - s, prec)
-           * Ball.from_fraction(Fraction(1) / (s - 1), prec))
-    val = val + _apow(a, -s, prec).mul_2exp(-1)
-    poch = s                             # the Pochhammer symbol (s)_(2k-1)
+    sn, sd = s.numerator, s.denominator
+    at = a ** _int_exponent(s)
+    L, bf = _bern_fact(k_order + 1)
+    x2 = (sd * a) ** 2
+    poch = sn                            # sd^(2k-1) (s)_(2k-1)
+    acc = 0                              # sum over L (sd a)^(2K-1)
     for k in range(1, k_order + 1):
-        coef = _bern_fact(k) * poch
-        val = val + Ball.from_fraction(coef, prec) * _apow(a, -s - 2 * k + 1, prec)
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
-    err_coef = abs(_bern_fact(k_order + 1)) * poch
-    err = Ball.from_fraction(err_coef, prec) * _apow(a, -s - 2 * k_order - 1, prec)
-    return val.widened(err.abs_hi())
+        acc = acc * x2 + bf[k] * poch
+        poch *= (sn + (2 * k - 1) * sd) * (sn + 2 * k * sd)
+    den = L * (sd * a) ** (2 * k_order - 1)
+    x = a / (s - 1) + Fraction(1, 2) + Fraction(acc, den)
+    err = Fraction(abs(bf[k_order + 1]) * poch, den * x2)
+    val = Ball.from_fraction(x / at, prec).widened(_mpf_up(err, at))
+    return val * _sqrt(a, prec) if sd == 2 else val
 
 
 @functools.lru_cache(maxsize=_Z_CACHE)
@@ -573,13 +633,20 @@ def zl_em(s: Fraction, a: int, prec: int) -> Ball:
     The remainder bound 4 (2 pi)^(-2K) |g^(2K-1)(a)| requires g^(2K) to
     keep one sign on [a, inf), which reduces to
     ln a >= sum_{i<2K} 1/(s+i); K adapts downward until that holds.
+    Every term is a^-t (sqrt a) (R1 ln a + R0) with exact rationals R1
+    and R0, summed as in :func:`z_em`; each is rounded once.
     """
     s = Fraction(s)
+    sn, sd = s.numerator, s.denominator
+    at = a ** _int_exponent(s)
     la = _ln(a, prec)
     la_lo_ok = None
     for k_order in (10, 8, 6, 4, 3):
-        cond = sum(Fraction(1, s + i) for i in range(2 * k_order))
-        gap = la - Ball.from_fraction(cond, prec)
+        num, den = 0, 1                  # sum_{i<2K} 1/(s+i) = num/den
+        for i in range(2 * k_order):
+            f = sn + i * sd
+            num, den = num * f + sd * den, den * f
+        gap = la - Ball.from_fraction(Fraction(num, den), prec)
         if gap.is_positive():
             la_lo_ok = k_order
             break
@@ -587,25 +654,27 @@ def zl_em(s: Fraction, a: int, prec: int) -> Ball:
         raise ArithmeticError("no valid Euler-Maclaurin order for ZL")
     k_order = la_lo_ok
 
-    sm1 = Ball.from_fraction(Fraction(1) / (s - 1), prec)
-    val = _apow(a, 1 - s, prec) * (la * sm1 + sm1 * sm1)
-    val = val + _apow(a, -s, prec) * la.mul_2exp(-1)
-    # g^(m)(x) = x^(-s-m) (p_m ln x + q_m), exact rational p, q
-    p, q = Fraction(1), Fraction(0)
-    derivs = {}
+    # g^(m)(x) = x^(-s-m) (p_m ln x + q_m), sd^m (p_m, q_m) = (P, Q)
+    L, bf = _bern_fact(k_order)
+    x2 = (sd * a) ** 2
+    P, Q = 1, 0
+    acc1 = acc0 = 0                      # sums over L (sd a)^(2K-1)
     for m in range(1, 2 * k_order):
-        p, q = -(s + m - 1) * p, p - (s + m - 1) * q
-        derivs[m] = (p, q)
-    for k in range(1, k_order + 1):
-        pm, qm = derivs[2 * k - 1]
-        gk = _apow(a, -s - (2 * k - 1), prec) * (
-            Ball.from_fraction(pm, prec) * la + Ball.from_fraction(qm, prec))
-        val = val - _bern_fact_ball(k, prec) * gk
-    pm, qm = derivs[2 * k_order - 1]
-    glast = _apow(a, -s - (2 * k_order - 1), prec) * (
-        Ball.from_fraction(pm, prec) * la + Ball.from_fraction(qm, prec))
-    err = (glast * _zl_rem_factor(k_order, prec)).abs_hi()
-    return val.widened(err)
+        f = sn + (m - 1) * sd
+        P, Q = -f * P, sd * P - f * Q
+        if m % 2:
+            bk = bf[(m + 1) // 2]
+            acc1, acc0 = acc1 * x2 + bk * P, acc0 * x2 + bk * Q
+    den = L * (sd * a) ** (2 * k_order - 1)
+    sm1 = 1 / (s - 1)
+    r1 = a * sm1 + Fraction(1, 2) - Fraction(acc1, den)
+    r0 = a * sm1 * sm1 - Fraction(acc0, den)
+    # |p ln a + q| is largest at an end of the enclosure of ln a
+    g = max(abs(P * v + Q) for v in la.to_interval_fractions())
+    err = g * L / den * 4 / (2 * _PI_LO) ** (2 * k_order)
+    val = (la * Ball.from_fraction(r1 / at, prec)
+           + Ball.from_fraction(r0 / at, prec)).widened(_mpf_up(err, at))
+    return val * _sqrt(a, prec) if sd == 2 else val
 
 
 # --------------------------------------------------------------------

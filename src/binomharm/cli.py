@@ -65,7 +65,7 @@ class CliConfig:
     r: Optional[int] = None
     digits: Optional[int] = None
     max_terms: Optional[int] = None
-    workers: int = 1
+    workers: Optional[int] = None
     status: Optional[str] = None
     family: Optional[str] = None
     gf: Optional[str] = None
@@ -232,9 +232,14 @@ def _cmd_verify(cfg: CliConfig) -> int:
         print(f"error: --r applies only to family templates {TEMPLATE_IDS}",
               file=sys.stderr)
         return 2
+    if cfg.workers is not None and not cfg.run_all:
+        print("error: --workers applies only to --all", file=sys.stderr)
+        return 2
     if cfg.run_all:
+        workers = (_default_parallelism() if cfg.workers is None
+                   else cfg.workers)
         result = verify_all(digits=cfg.digits, max_terms=cfg.max_terms,
-                            workers=cfg.workers)
+                            workers=workers)
         if cfg.format == "json":
             _emit_json(result)
         else:
@@ -398,8 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-terms", type=_positive_int, dest="max_terms",
                           help="term budget override")
     p_verify.add_argument("--workers", type=_positive_int,
-                          default=_default_parallelism(),
-                          help="worker processes for --all")
+                          help="worker processes for --all "
+                               "(default: the usable CPU count)")
     add_format(p_verify)
 
     p_eval = sub.add_parser("eval",

@@ -558,9 +558,11 @@ class _PlannedEmTail(TailStrategy):
     """An Euler-Maclaurin tail whose cut N and degree J are solved from
     the tolerance by :func:`_emtail.plan`: N is the one cut of every tail
     at that tolerance, and ``weight``, the tail's radius in units of one
-    recipe's model radius, sets J.  A call with no tolerance, such as a
-    probe of :func:`empirical_tail_check`, runs at the largest degree;
-    a cut below 32 gets no tail."""
+    recipe's model radius, sets J.  A planned degree whose tail misses
+    the tolerance gives way to the next degrees at the same cut, up to
+    J_MAX, before the sum moves to a larger cut.  A call with no
+    tolerance, such as a probe of :func:`empirical_tail_check`, runs at
+    the largest degree; a cut below 32 gets no tail."""
 
     weight = Fraction(1)
 
@@ -570,9 +572,14 @@ class _PlannedEmTail(TailStrategy):
     def tail_ball(self, stream, N, prec, t_last, tol=None):
         if N < 32:
             return None
-        J = (_emtail.J_MAX if tol is None
-             else _emtail.plan(tol, self.weight)[1])
-        return self._enclose(N, prec, J)
+        if tol is None:
+            return self._enclose(N, prec, _emtail.J_MAX)
+        J = _emtail.plan(tol, self.weight)[1]
+        tail = self._enclose(N, prec, J)
+        while J < _emtail.J_MAX and tail.rad_fraction() > tol:
+            J += 1
+            tail = self._enclose(N, prec, J)
+        return tail
 
 
 @dataclass

@@ -145,6 +145,27 @@ def test_verify_bad_r(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_id_rejects_workers(capsys):
+    # --workers sizes the process pool of --all; one entry has none
+    assert run(["verify", "--id", "EQ6", "--workers", "3"]) == 2
+    assert ("error: --workers applies only to --all"
+            in capsys.readouterr().err)
+
+
+def test_verify_all_workers_default_to_cpu_count(monkeypatch, capsys):
+    seen = []
+
+    def fake_verify_all(digits, max_terms, workers):
+        seen.append(workers)
+        return {"summary": {"ok": True}, "reports": []}
+
+    monkeypatch.setattr(cli, "verify_all", fake_verify_all)
+    monkeypatch.setattr(cli, "_default_parallelism", lambda: 5)
+    assert run(["verify", "--all", "--format", "json"]) == 0
+    assert run(["verify", "--all", "--workers", "2", "--format", "json"]) == 0
+    assert seen == [5, 2]
+
+
 def test_verify_template_instance_json(capsys):
     assert run(["verify", "--id", "LUCAS_HD", "--r", "3",
                 "--digits", "20", "--format", "json"]) == 0
@@ -202,6 +223,16 @@ def test_eval_refuses_disjoint_enclosures(monkeypatch, capsys):
     payload = _json_out(capsys)
     assert payload["agreed_digits"] >= payload["digits"] == 30
     assert payload["ok"] is False
+
+
+@pytest.mark.parametrize("gf", ["GF_CAT_HALF", "GF_CAT_H2N"])
+def test_eval_raises_degree_at_planned_cut(capsys, gf):
+    # at 30 digits the plan is (N, J) = (726, 9); both tails miss at
+    # J = 9 and close at J = 10 on the same cut, not at N = 2904
+    assert run(["eval", "--gf", gf, "--x", "1/4", "--format", "json"]) == 0
+    payload = _json_out(capsys)
+    assert payload["n_terms"] == 726
+    assert payload["ok"] is True
 
 
 def test_eval_negative_rational(capsys):
