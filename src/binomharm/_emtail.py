@@ -65,6 +65,7 @@ included, and filled on first use (nothing is computed at import):
     build_poly(recipe, prec, J) the assembled coefficient polynomials
     z_em, zl_em(s, a, prec)     the Hurwitz-type sums, bounded (keyed by a)
     _ln(a, prec), _sqrt(a, prec) ln a and sqrt a, bounded
+    plan(tol, weight)           the planned (N, J) of a tolerance, bounded
 
 A cached value is handed to every later caller, so it must never be
 mutated: ``USeries`` operators and :class:`Ball` operations always build
@@ -101,7 +102,7 @@ _MIN_A = 33                  # tails valid for a = N+1 >= 33
 __all__ = ["TermRecipe", "HarmonicKind", "HARMONIC_KINDS", "tail_enclosure",
            "build_poly", "z_em", "zl_em", "plan", "J_MAX", "U0"]
 
-_PREC_CACHE = 256            # entries per prec-keyed cache
+_PREC_CACHE = 256            # entries per prec- or tolerance-keyed cache
 _Z_CACHE = 2048              # (s, a, prec) entries per Hurwitz-sum cache
 
 # every cache below hands out shared objects: callers must not mutate them
@@ -715,6 +716,7 @@ def _model_cut(tol: Fraction, J: int) -> int | None:
     return hi
 
 
+@functools.lru_cache(maxsize=_PREC_CACHE)
 def plan(tol: Fraction, weight: Fraction = Fraction(1)) -> tuple[int, int]:
     """(N, J): N the cut of least cost, N + _DEGREE_STEPS J, whose model
     radius is at most ``tol`` at some _PLAN_J_MIN <= J <= J_MAX, with

@@ -15,11 +15,27 @@ THM24..THM27 for the unnumbered theorems).  ``*_AS_PRINTED`` entries
 carry a closed form transcribed with its typographical defect intact;
 they are expected to FAIL verification, and ``structural_diff`` counts
 how many tree nodes separate them from the corrected form.
+
+Memos.  Each is per process: there is no disk cache, and a ``--workers``
+process fills its own (a forked one inherits what its parent holds).
+
+  * A tree node reads each child's value through :func:`_child`, a
+    ``functools.lru_cache`` of at most 2048 (node, prec) pairs.  The
+    frozen trees compare and hash by structure, so the ``sqrt(2)`` of
+    one entry is the ``sqrt(2)`` of every other, evaluated once per
+    precision.  Only tree evaluation reads this memo; the series route
+    never does.
+  * :func:`make_registry` builds the default entries once (they are
+    frozen) and returns a fresh dict over them on every call.
+
+A memoized ball is handed to every later caller, so it is never
+mutated: :class:`Ball` operations always build new objects.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +82,12 @@ class ClosedForm:
 
     def node_count(self) -> int:
         return 1 + sum(c.node_count() for c in self.children())
+
+
+@functools.lru_cache(maxsize=2048)
+def _child(node: ClosedForm, prec: int) -> Ball:
+    """The value of a subtree at working precision ``prec``, memoized."""
+    return node._eval(prec)
 
 
 @dataclass(frozen=True)
@@ -123,7 +145,7 @@ class _Unary(ClosedForm):
         return (self.a,)
 
     def _eval(self, prec):
-        return type(self).op(self.a._eval(prec))
+        return type(self).op(_child(self.a, prec))
 
     def desc(self):
         return self.fmt.format(self.a.desc())
@@ -142,7 +164,7 @@ class _Binary(ClosedForm):
         return (self.a, self.b)
 
     def _eval(self, prec):
-        return type(self).op(self.a._eval(prec), self.b._eval(prec))
+        return type(self).op(_child(self.a, prec), _child(self.b, prec))
 
     def desc(self):
         return self.fmt.format(self.a.desc(), self.b.desc())
@@ -195,7 +217,7 @@ class PowInt(ClosedForm):
         return (self.a,)
 
     def _eval(self, prec):
-        return self.a._eval(prec).pow_int(self.n)
+        return _child(self.a, prec).pow_int(self.n)
 
     def desc(self):
         return f"{self.a.desc()}^{self.n}"
@@ -509,7 +531,9 @@ _SQH = Sqrt(R(1, 2))          # sqrt(1 - 4x) at x = 1/8
 _Q5 = Sqrt(_S5)               # 5^(1/4)
 
 
-def _entries() -> list:
+@functools.lru_cache(maxsize=1)
+def _entries() -> tuple:
+    """The default entries, built once per process."""
     e = []
 
     # -- prior central-binomial evaluations (1)-(3)
@@ -797,11 +821,12 @@ def _entries() -> list:
         Add(Div(_G, Mul(R(4), _PI)), Div(R(1), Mul(R(8), _PI))),
         _t_thm27,
         max_terms=10 ** 7))
-    return e
+    return tuple(e)
 
 
 def make_registry() -> dict:
-    """Ordered id -> IdentityEntry map with the default parameters."""
+    """Ordered id -> IdentityEntry map with the default parameters: a
+    fresh dict over the entries built once per process."""
     reg = {}
     for entry in _entries():
         if entry.id in reg:

@@ -27,6 +27,10 @@ first cut and jumps to the cut where the tail |t_N| Q/(1 - Q), shrinking
 by Q per term, meets the tolerance.  A refuted claim raises
 :class:`TailHypothesisViolation` at the least failing n; a stream or
 value the proof cannot read exactly raises TypeError.
+
+Streams, tails and :class:`SumResult` are frozen dataclasses: two
+recipes that build the same series build equal, hash-equal streams and
+tails, and a sum is a value that can be handed to every caller.
 """
 
 from __future__ import annotations
@@ -180,7 +184,7 @@ def _to_fixed(v, p: int) -> tuple[int, int]:
     return (v.numerator << p) // v.denominator, 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class HarmonicStream(TermStream):
     """t_n = U_n * D_n; U by an exact step ratio, D incremental.
 
@@ -320,7 +324,7 @@ class _HarmonicCursor:
                 _fixed_to_ball(t, et, p, self.prec))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Thm24Stream(TermStream):
     """Composite stream t_n = U_n D_n (pi/2 - W_n).
 
@@ -418,7 +422,7 @@ _D_INDEX_MAX = 64   # D_lo is D at min(N, this): exact, cached, cheap
 _RETRIES = 8        # witnesses re-derived before a cut is left unproven
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeometricTail(TailStrategy):
     """|t_{n+1}| <= Q |t_n| for every n >= N, with Q < 1 derived from the
     stream and proven; the tail is |t_N| Q / (1 - Q), centred on [0, b]
@@ -582,7 +586,7 @@ class _PlannedEmTail(TailStrategy):
         return tail
 
 
-@dataclass
+@dataclass(frozen=True)
 class AsymptoticTail(_PlannedEmTail):
     """Euler-Maclaurin tail for t_n = scale * R(n) b(n)^e D(n); see the
     private _emtail module for the machinery."""
@@ -594,7 +598,7 @@ class AsymptoticTail(_PlannedEmTail):
         return _emtail.tail_enclosure(self.recipe, N, prec, J)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Thm24Tail(_PlannedEmTail):
     """Composite tail (pi/2) * tailA - tailB for the double-factorial series."""
 
@@ -655,7 +659,7 @@ def series_from(*recipes: TermRecipe) -> tuple:
 # Rigorous summation
 # --------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SumResult:
     value: Ball
     n_terms: int

@@ -14,21 +14,32 @@ classifies the pair:
 
 An entry verifies OK when its verdict matches its expectation: PASS for
 sound identities, FAIL for the ``*_AS_PRINTED`` transcriptions.
+
+Each successful series sum is kept in a per-process memo of at most 256
+sums, keyed by every input of the sum: the stream, the tail strategy,
+the digits, the term budget and the working precision.  Streams and
+tails are frozen dataclasses that compare by value, so an entry whose
+series equals an earlier one's (a misprinted closed form beside its
+corrected twin, or a family alias at its default r) reuses that sum.
+Failed sums raise and are not kept.  There is no disk cache; each
+``workers > 1`` process fills its own memo, starting from what the
+parent held when it forked.  Only the series route reads this memo;
+closed forms have their own (see :mod:`binomharm.registry`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
 from .ball_arith import Ball, DomainError, working_precision
 from .registry import IdentityEntry, make_registry
-from .series_engine import (PrecisionNotReached, TailHypothesisViolation,
-                            sum_to_precision)
+from .series_engine import (PrecisionNotReached, SumResult,
+                            TailHypothesisViolation, sum_to_precision)
 
 __all__ = ["agreed_digits", "verify_identity", "verify_all",
            "DIGITS_ENV_VAR"]
@@ -108,6 +119,14 @@ def _classify(series: Ball, rhs: Ball, digits: int) -> tuple[str, int]:
     return "INCONCLUSIVE", agreed
 
 
+@functools.lru_cache(maxsize=256)
+def _summed(stream, strategy, digits: int, max_terms: int,
+            prec: int) -> SumResult:
+    """``sum_to_precision`` memoized on all of its inputs."""
+    return sum_to_precision(stream, strategy, digits, max_terms=max_terms,
+                            prec=prec)
+
+
 def verify_identity(entry: IdentityEntry, digits: Optional[int] = None,
                     max_terms: Optional[int] = None) -> dict:
     """Verify one entry; returns a JSON-ready report dict."""
@@ -142,8 +161,7 @@ def verify_identity(entry: IdentityEntry, digits: Optional[int] = None,
             prec = working_precision(digits) + bump
             stream, strategy = entry.make_stream()
             try:
-                run = sum_to_precision(stream, strategy, digits,
-                                       max_terms=max_terms, prec=prec)
+                run = _summed(stream, strategy, digits, max_terms, prec)
             except PrecisionNotReached as exc:
                 series_ball = exc.best
                 n_terms = exc.n_terms
@@ -191,20 +209,24 @@ def verify_identity(entry: IdentityEntry, digits: Optional[int] = None,
     return report
 
 
-# filled by _init_worker in each pool worker; stays empty in the parent
-_worker_registry: dict = {}
+def _verify_group(args: tuple) -> list:
+    """Child-process worker: verifies the entries of one task, looked up
+    by their ids, in order."""
+    entry_ids, digits, max_terms = args
+    reg = make_registry()
+    return [verify_identity(reg[entry_id], digits=digits,
+                            max_terms=max_terms) for entry_id in entry_ids]
 
 
-def _init_worker() -> None:
-    """Pool initializer: each worker process builds the registry once."""
-    _worker_registry.update(make_registry())
-
-
-def _verify_one(args: tuple) -> dict:
-    """Child-process worker: looks the entry up by its id."""
-    entry_id, digits, max_terms = args
-    return verify_identity(_worker_registry[entry_id], digits=digits,
-                           max_terms=max_terms)
+def _series_key(entry: IdentityEntry):
+    """The entry's (stream, tail), which keys its sums; its id when the
+    series cannot be built or hashed, a fault its worker then reports."""
+    try:
+        key = entry.make_stream()
+        hash(key)
+    except Exception:
+        return entry.id
+    return key
 
 
 def verify_all(ids: Optional[list] = None, digits: Optional[int] = None,
@@ -212,9 +234,13 @@ def verify_all(ids: Optional[list] = None, digits: Optional[int] = None,
     """Verify many entries; report order follows the registry order.
 
     The serial path verifies the entries of the registry built here;
-    worker processes receive only entry ids and build the registry
-    once each.  Either way each entry is built by the same factory, so
-    reports are identical whatever the worker count.
+    worker processes receive only entry ids and look them up in their
+    own registry, built once per process (a forked worker inherits the
+    parent's).  Either way each entry is built by the same factory, so
+    reports are identical whatever the worker count.  Entries whose
+    series are equal go to the pool as one task, so one worker sums that
+    series and the others reuse its sum: which sums each worker runs
+    does not depend on the schedule.
     """
     reg = make_registry()
     if ids is None:
@@ -227,10 +253,19 @@ def verify_all(ids: Optional[list] = None, digits: Optional[int] = None,
         reports = [verify_identity(reg[entry_id], digits=digits,
                                    max_terms=max_terms) for entry_id in ids]
     else:
-        jobs = [(entry_id, digits, max_terms) for entry_id in ids]
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker) as pool:
-            reports = list(pool.map(_verify_one, jobs))
+        # imported here: a serial run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        groups: dict = {}
+        for i, entry_id in enumerate(ids):
+            groups.setdefault(_series_key(reg[entry_id]), []).append(i)
+        jobs = [([ids[i] for i in group], digits, max_terms)
+                for group in groups.values()]
+        reports = [None] * len(ids)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for group, done in zip(groups.values(),
+                                   pool.map(_verify_group, jobs)):
+                for i, rep in zip(group, done):
+                    reports[i] = rep
     ok = all(rep["ok"] for rep in reports)
     summary = {
         "n_entries": len(reports),

@@ -42,7 +42,7 @@ def geometric_stream(q: Fraction) -> HarmonicStream:
                           kind="1", sign=sign)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ClaimedQ(GeometricTail):
     """A geometric tail that claims the ratio bound ``q`` instead of
     deriving one: the proof is called with that same q."""
@@ -329,7 +329,9 @@ def _planned_sum(eid):
         cuts.append(N)
         return tail_ball(stream, N, *args)
 
-    strat.tail_ball = counted
+    # the strategy is frozen; the counter shadows its method on this
+    # instance only
+    object.__setattr__(strat, "tail_ball", counted)
     res = sum_to_precision(stream, strat, entry.default_digits,
                            max_terms=entry.max_terms)
     return res, cuts, strat.plan_terms(tol, entry.max_terms)
