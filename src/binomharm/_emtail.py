@@ -11,19 +11,23 @@ analytically instead.
 
 Pipeline, all error-tracked:
 
-1. Expand ln(b(n) sqrt(pi n)) as a power series in u = 1/n with a tail
-   coefficient rho certifying |remainder| <= rho u^(J+1) on 0 < u <= 1/33
-   (Stirling series for ln Gamma with enveloped remainders), then
-   exponentiate the series with a rigorous exp remainder.  Each Stirling
-   term c (n+a)^-d, d = 2j-1, expands as c (-a)^i C(d-1+i, i) u^(d+i) in
-   exact rationals; the coefficients are summed exactly and rounded once,
-   and rho takes the Lagrange remainder c C(J, d-1) a^(J-d+1) of (1 +
-   au)^-d, au >= 0, and c U0^(d-J-1) for a term of degree d > J.
+1. Expand ln(b(n) sqrt(pi n)) as a power series g(u) in u = 1/n with a
+   tail coefficient rho certifying |remainder| <= rho u^(J+1) on
+   0 < u <= 1/33 (Stirling series for ln Gamma with enveloped
+   remainders), then exponentiate the series with a rigorous exp
+   remainder.  Each Stirling term c (n+a)^-d, d = 2j-1, expands as
+   c (-a)^i C(d-1+i, i) u^(d+i); rho takes the Lagrange remainder
+   c C(J, d-1) a^(J-d+1) of (1 + au)^-d, au >= 0, and c U0^(d-J-1) for a
+   term of degree d > J.
 2. Expand the harmonic factor via H_m = ln m + gamma + h_m with the
-   enveloped asymptotic series for h_m, so each term becomes
+   enveloped asymptotic series for h_m: D(n) = alpha_L ln n + D0(u) +
+   b ln 2 + alpha_L gamma, D0 = kappa + b h_2n + a h_n + (c/2) u, so each
+   term becomes
 
-       t_n = sum_j (a_j + b_j ln n) n^(-sigma0-j)  +  graded remainder.
+       t_n = sum_j (W0_j + W1_j ln n) n^(-sigma0-j)  +  graded remainder,
 
+   W0 = pi^(-e/2) (R + (b ln 2 + alpha_L gamma) T), W1 = pi^(-e/2)
+   alpha_L T, with T = (P*/Q*)(u) exp(e g(u)) and R = T D0.
 3. Sum over n > N exactly in terms of the Hurwitz-type sums
    Z(s,a) = sum n^-s and ZL(s,a) = sum n^-s ln n, both evaluated by
    Euler-Maclaurin with first-omitted-term (Z) and derivative-sign (ZL)
@@ -33,13 +37,14 @@ Pipeline, all error-tracked:
    R1 ln a + R0); each bracket is summed in integers over one
    denominator, rounded once and multiplied by at most one sqrt a ball.
 
-Every series is a :class:`USeries`: ball coefficients up to degree J
-plus an exact rational rho with |f(u) - poly(u)| <= rho u^(J+1) on the
-validity window.  All bound bookkeeping is exact rational arithmetic;
-only midpoint values live in balls.  A product forms the coefficients up
-to degree J and bounds the ones above it in exact integers, from the
-midpoints and radii of its factors, without forming them.  Valid for
-N >= 32 (so a = N+1 >= 33).
+Every series up to T and R is an exact :class:`USeries`: rational
+coefficients up to degree J plus a rational rho with |f(u) - poly(u)| <=
+rho u^(J+1) on the validity window.  Sums, scalings and products are
+exact; a product folds its coefficients past degree J into rho as
+sum_{m>J} |c_m| U0^(m-J-1).  Only :func:`build_poly` rounds: each T_j and
+R_j once at the working precision, and it applies the three irrational
+factors, ln 2, gamma and pi^(-e/2), as balls there.  Valid for N >= 32
+(so a = N+1 >= 33).
 
 The degree is a parameter, 1 <= J <= J_MAX = 12, and the remainder of a
 degree-J tail falls like N^-(sigma0+J).  :func:`plan` solves the cut N
@@ -53,23 +58,26 @@ same N and makes up its weight with J = 5.
 Shared work.  Every entry expands the same b(n) and the same harmonic
 asymptotics, and the single-recipe tails of one tolerance sit at the
 same a = N+1, so the pure pieces are memoized with
-``functools.lru_cache``, each keyed by its exact arguments, the degree J
-included, and filled on first use (nothing is computed at import):
+``functools.lru_cache``, each keyed by its exact arguments and filled on
+first use (nothing is computed at import).  The exact series depend on
+the degree J only, so every precision a run climbs to rounds the same
+build:
 
     _bern(m), _bern_fact(K)     B_m, and B_2k/(2k)! for k <= K over one
                                 denominator, exact, unbounded
-    _h_series(s, prec, J)       h_{sn} series, D-factor building block
-    _g_series(prec, J)          ln(b(n) sqrt(pi n))
-    _exp_g(e, prec, J)          exp(e g) = (b(n) sqrt(pi n))^e
-    _d_part(kind, prec, J)      the harmonic factor D_kind(n)
-    build_poly(recipe, prec, J) the assembled coefficient polynomials
+    _h_series(s, J)             h_{sn} series, D-factor building block
+    _g_series(J)                ln(b(n) sqrt(pi n))
+    _exp_g(e, J)                exp(e g) = (b(n) sqrt(pi n))^e
+    _d_part(kind, J)            the harmonic factor's (alpha_L, b, D0)
+    _expansion(P, Q, e, kind, J)  (alpha_L, b, T, R) of a recipe
+    build_poly(recipe, prec, J) W0 and W1, rounded at ``prec``
     z_em, zl_em(s, a, prec)     the Hurwitz-type sums, bounded (keyed by a)
     _ln(a, prec), _sqrt(a, prec) ln a and sqrt a, bounded
     plan(tol, weight)           the planned (N, J) of a tolerance, bounded
 
 A cached value is handed to every later caller, so it must never be
 mutated: ``USeries`` operators and :class:`Ball` operations always build
-new objects, and a series is only written to while it is being built.
+new objects, and a series' coefficients are a tuple.
 """
 
 from __future__ import annotations
@@ -78,9 +86,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import bernfrac
-from mpmath.libmp import fzero, from_rational, round_ceiling, to_rational
+from mpmath.libmp import from_rational, round_ceiling, to_rational
 
 from .ball_arith import (
     Ball,
@@ -96,13 +105,16 @@ from .intpoly import padd, peval, pscale, reduce_ratio
 # and u^16, into rho only while J + 1 <= 16, and whether U0 and the
 # cut N >= 32 still suit degrees past 12 is unchecked
 J_MAX = 12
+_JS = 8                      # Stirling terms of _s_series
+_KH = 7                      # asymptotic terms of _h_series
 U0 = Fraction(1, 33)         # validity window 0 < u <= U0
 _MIN_A = 33                  # tails valid for a = N+1 >= 33
+_ZERO = Fraction(0)
 
 __all__ = ["TermRecipe", "HarmonicKind", "HARMONIC_KINDS", "tail_enclosure",
            "build_poly", "z_em", "zl_em", "plan", "J_MAX", "U0"]
 
-_PREC_CACHE = 256            # entries per prec- or tolerance-keyed cache
+_PREC_CACHE = 256            # entries per cache keyed by J, prec or tol
 _Z_CACHE = 2048              # (s, a, prec) entries per Hurwitz-sum cache
 
 # every cache below hands out shared objects: callers must not mutate them
@@ -128,30 +140,12 @@ def _fr_up(x: Fraction, bits: int = 120) -> Fraction:
     return Fraction(n, 1 << bits)
 
 
-def _fixed(balls) -> tuple[list, list, int]:
-    """Exact integers and one exponent e with mid_m = mids[m] 2^e and
-    |mid_m| + rad_m = his[m] 2^e (mpf values are dyadic)."""
-    e = min((t[2] for b in balls for t in (b.mid, b.rad) if t[1]), default=0)
-
-    def val(t):
-        v = t[1] << (t[2] - e) if t[1] else 0
-        return -v if t[0] else v
-
-    mids = [val(b.mid) for b in balls]
-    return mids, [abs(m) + val(b.rad) for m, b in zip(mids, balls)], e
-
-
-def _at_u0(v: list, e: int) -> Fraction:
-    """sum_m v[m] 2^e U0^m, exact, for integers v[m] (U0 = 1/33)."""
-    acc = 0
-    for x in v:
-        acc = acc * U0.denominator + x
-    den = U0.denominator ** (len(v) - 1)
-    return Fraction(acc << e, den) if e >= 0 else Fraction(acc, den << -e)
-
-
-def _is_zero_ball(b: Ball) -> bool:
-    return b.mid == fzero and b.rad == fzero
+def _abs_at_u0(v) -> Fraction:
+    """sum_m |v[m]| U0^m, exact."""
+    acc = _ZERO
+    for x in reversed(v):
+        acc = acc * U0 + abs(x)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -200,109 +194,63 @@ HARMONIC_KINDS = {kind: HarmonicKind(*map(Fraction, kabc)) for kind, kabc in {
 # --------------------------------------------------------------------
 
 class USeries:
-    """f(u) = sum_{m<=J} c[m] u^m + r(u), |r(u)| <= rho u^(J+1) on (0, U0].
+    """f(u) = sum_{m<=J} c[m] u^m + r(u), |r(u)| <= rho u^(J+1) on (0, U0],
+    with exact rational coefficients c[0..J] and rho.
 
     The degree J is len(c) - 1; the operators combine series of one
     degree only.
     """
 
-    __slots__ = ("c", "rho", "prec")
+    __slots__ = ("c", "rho")
 
-    def __init__(self, prec: int, J: int, coeffs=None,
-                 rho: Fraction = Fraction(0)):
-        self.prec = prec
-        self.c = [Ball.zero(prec) for _ in range(J + 1)]
-        if coeffs:
-            if len(coeffs) > J + 1:
-                # a dropped coefficient would leave no trace in rho
-                raise ValueError(f"{len(coeffs)} coefficients at degree {J}")
-            for m, v in enumerate(coeffs):
-                self.c[m] = self._ball(v)
+    def __init__(self, J: int, coeffs=(), rho: Fraction = _ZERO):
+        if len(coeffs) > J + 1:
+            # a dropped coefficient would leave no trace in rho
+            raise ValueError(f"{len(coeffs)} coefficients at degree {J}")
+        self.c = (tuple(map(Fraction, coeffs))
+                  + (_ZERO,) * (J + 1 - len(coeffs)))
         self.rho = Fraction(rho)
 
     @property
     def J(self) -> int:
         return len(self.c) - 1
 
-    def _ball(self, v) -> Ball:
-        if isinstance(v, Ball):
-            return v
-        return Ball.from_fraction(Fraction(v), self.prec)
-
-    def polybound(self) -> Fraction:
-        _, hi, e = _fixed(self.c)
-        return _fr_up(_at_u0(hi, e))
-
     def bound(self) -> Fraction:
-        return _fr_up(self.polybound() + self.rho * U0 ** (self.J + 1))
-
-    def _like(self) -> "USeries":
-        """A zero series of the same precision and degree."""
-        return USeries(self.prec, self.J)
+        """An upper bound of |f| on (0, U0]."""
+        return _fr_up(_abs_at_u0(self.c) + self.rho * U0 ** (self.J + 1))
 
     def __add__(self, other: "USeries") -> "USeries":
-        r = self._like()
-        r.c = [a + b for a, b in zip(self.c, other.c, strict=True)]
-        r.rho = _fr_up(self.rho + other.rho)
-        return r
+        return USeries(self.J, [a + b for a, b in
+                                zip(self.c, other.c, strict=True)],
+                       _fr_up(self.rho + other.rho))
 
     def __sub__(self, other: "USeries") -> "USeries":
-        r = self._like()
-        r.c = [a - b for a, b in zip(self.c, other.c, strict=True)]
-        r.rho = _fr_up(self.rho + other.rho)
-        return r
+        return USeries(self.J, [a - b for a, b in
+                                zip(self.c, other.c, strict=True)],
+                       _fr_up(self.rho + other.rho))
 
-    def scale_frac(self, k: Fraction) -> "USeries":
+    def scale(self, k: Fraction) -> "USeries":
         k = Fraction(k)
-        r = self._like()
-        if k == 0:
-            return r
-        kb = Ball.from_fraction(k, self.prec)
-        r.c = [a * kb for a in self.c]
-        r.rho = _fr_up(abs(k) * self.rho)
-        return r
-
-    def scale_ball(self, k: Ball) -> "USeries":
-        r = self._like()
-        r.c = [a * k for a in self.c]
-        r.rho = _fr_up(_fr_abs_hi(k) * self.rho)
-        return r
+        return USeries(self.J, [k * a for a in self.c],
+                       _fr_up(abs(k) * self.rho))
 
     def __mul__(self, other: "USeries") -> "USeries":
         J = self.J
         if other.J != J:
             raise ValueError(f"degrees {J} and {other.J} differ")
-        r = self._like()
+        conv = [_ZERO] * (2 * J + 1)
         for i, a in enumerate(self.c):
-            if _is_zero_ball(a):
-                continue
-            for j2 in range(J + 1 - i):
-                b = other.c[j2]
-                if not _is_zero_ball(b):
-                    r.c[i + j2] = r.c[i + j2] + a * b
-        # the products past degree J are bounded, not formed as balls:
-        # |sum_{i+j=m} a_i b_j| <= |sum mid_i mid_j| + sum (hi_i hi_j -
-        # |mid_i mid_j|), hi = |mid| + rad, in exact integers, so the
-        # cancellation between the midpoint products is kept
-        ma, ha, ea = _fixed(self.c)
-        mb, hb, eb = _fixed(other.c)
-        high = []
-        for m in range(J + 1, 2 * J + 1):
-            mid = slack = 0
-            for i in range(m - J, J + 1):
-                p = ma[i] * mb[m - i]
-                mid += p
-                slack += ha[i] * hb[m - i] - abs(p)
-            high.append(abs(mid) + slack)
-        r.rho = _fr_up(_at_u0(high, ea + eb)
-                       + _fr_up(_at_u0(ha, ea)) * other.rho
-                       + _fr_up(_at_u0(hb, eb)) * self.rho
-                       + self.rho * other.rho * U0 ** (J + 1))
-        return r
-
-
-def _const_ser(prec: int, J: int, v) -> USeries:
-    return USeries(prec, J, [v])
+            if a:
+                for j2, b in enumerate(other.c):
+                    if b:
+                        conv[i + j2] += a * b
+        # the degrees past J fold into rho exactly: on (0, U0],
+        # |sum_{m>J} c_m u^m| <= u^(J+1) sum_{m>J} |c_m| U0^(m-J-1)
+        rho = (_abs_at_u0(conv[J + 1:])
+               + _abs_at_u0(self.c) * other.rho
+               + _abs_at_u0(other.c) * self.rho
+               + self.rho * other.rho * U0 ** (J + 1))
+        return USeries(J, conv[:J + 1], _fr_up(rho))
 
 
 # --------------------------------------------------------------------
@@ -332,18 +280,18 @@ def _poly_abs_min(Q, lo: Fraction, hi: Fraction, depth: int = 0) -> Fraction:
                _poly_abs_min(Q, mid, hi, depth + 1))
 
 
-def rational_useries(P, Q, prec: int, J: int) -> USeries:
+def rational_useries(P, Q, J: int) -> USeries:
     """P*(u)/Q*(u) with exact rational synthetic division, Q*(0) != 0."""
     P = [Fraction(x) for x in P]
     Q = [Fraction(x) for x in Q]
-    c = [Fraction(0)] * (J + 1)
+    c = [_ZERO] * (J + 1)
     for m in range(J + 1):
-        acc = P[m] if m < len(P) else Fraction(0)
+        acc = P[m] if m < len(P) else _ZERO
         for i in range(1, min(m, len(Q) - 1) + 1):
             acc -= Q[i] * c[m - i]
         c[m] = acc / Q[0]
     # residual numerator E = P - Q * c, supported on degrees J+1 .. J+degQ
-    E = [Fraction(0)] * (J + len(Q))
+    E = [_ZERO] * (J + len(Q))
     for m, v in enumerate(P):
         E[m] += v
     for i, qv in enumerate(Q):
@@ -351,15 +299,12 @@ def rational_useries(P, Q, prec: int, J: int) -> USeries:
             E[i + m2] -= qv * cv
     for m in range(J + 1):
         assert E[m] == 0
-    num = sum(abs(E[m]) * U0 ** (m - J - 1) for m in range(J + 1, len(E)))
-    qmin = _poly_abs_min(Q, Fraction(0), U0)
-    ser = USeries(prec, J, c)
-    ser.rho = _fr_up(Fraction(num) / qmin)
-    return ser
+    qmin = _poly_abs_min(Q, _ZERO, U0)
+    return USeries(J, c, _fr_up(_abs_at_u0(E[J + 1:]) / qmin))
 
 
 # --------------------------------------------------------------------
-# exp of a u-series that vanishes at u = 0 (up to ball slack)
+# exp of a u-series that vanishes at u = 0
 # --------------------------------------------------------------------
 
 def _exp_hi(x: Fraction) -> Fraction:
@@ -369,38 +314,30 @@ def _exp_hi(x: Fraction) -> Fraction:
 
 
 def exp_useries(f: USeries) -> USeries:
-    prec, J = f.prec, f.J
-    c0 = f.c[0]
-    p = f._like()
-    p.c = [Ball.zero(prec)] + list(f.c[1:])
-    p.rho = f.rho
-    out = _const_ser(prec, J, Fraction(1))
-    term = _const_ser(prec, J, Fraction(1))
+    """exp(f) for a series with f(0) = 0."""
+    if f.c[0]:
+        raise ValueError("exp_useries needs a series that vanishes at 0")
+    J = f.J
+    out = term = USeries(J, [1])
     for k in range(1, J + 1):
-        term = term * p
-        out = out + term.scale_frac(Fraction(1, math.factorial(k)))
+        term = term * f
+        out = out + term.scale(Fraction(1, math.factorial(k)))
     # truncated powers P^(J+1)/((J+1)!) + ... <= qhat^(J+1) e^(qhat U0)/(J+1)!
-    qhat = Fraction(0)
-    for m in range(1, J + 1):
-        if not _is_zero_ball(p.c[m]):
-            qhat += _fr_abs_hi(p.c[m]) * U0 ** (m - 1)
-    out.rho = _fr_up(out.rho
-                     + qhat ** (J + 1) * _exp_hi(qhat * U0)
-                     / math.factorial(J + 1))
+    qhat = _abs_at_u0(f.c[1:])
+    out = USeries(J, out.c, _fr_up(out.rho
+                                   + qhat ** (J + 1) * _exp_hi(qhat * U0)
+                                   / math.factorial(J + 1)))
     # exp(poly + r) = exp(poly) exp(r): |exp(r) - 1| <= |r| e^|r|
     d0 = f.rho * U0 ** (J + 1)
-    out.rho = _fr_up(out.rho + out.bound() * f.rho * _exp_hi(d0))
-    # fold the (tiny) constant slack c0 back in multiplicatively
-    if not _is_zero_ball(c0):
-        out = out.scale_ball(c0.exp())
-    return out
+    return USeries(J, out.c,
+                   _fr_up(out.rho + out.bound() * f.rho * _exp_hi(d0)))
 
 
 # --------------------------------------------------------------------
 # Stirling / harmonic building blocks
 # --------------------------------------------------------------------
 
-def _a_series(prec: int, J: int) -> USeries:
+def _a_series(J: int) -> USeries:
     """(n + 1/2) ln(1 + u/2) - 1 - n ln(1 + u) + u-free normalization.
 
     Exact alternating coefficients; remainder bounded by the three
@@ -411,26 +348,24 @@ def _a_series(prec: int, J: int) -> USeries:
     for m in range(1, J + 1):
         v = (Fraction(1, (m + 1) * 2 ** (m + 1)) - Fraction(1, m + 1)
              + Fraction(1, 2 * m))
-        coeffs.append(Fraction((-1) ** m) * v)
+        coeffs.append((-1) ** m * v)
     rho = (Fraction(1, (J + 2) * 2 ** (J + 2)) + Fraction(1, J + 2)
            + Fraction(1, 2 * (J + 1)))
-    ser = USeries(prec, J, coeffs)
-    ser.rho = rho
-    return ser
+    return USeries(J, coeffs, rho)
 
 
-def _s_exact(a: Fraction, J: int, js: int = 8) -> tuple[list, Fraction]:
-    """The exact coefficients c[0..J] and rho of the Stirling correction
-    S(n+a) = sum_{j<=js} B_2j/(2j(2j-1)(n+a)^(2j-1)) in u = 1/n, a >= 0.
+def _s_series(a: Fraction, J: int) -> USeries:
+    """The Stirling correction S(n+a) = sum_{j<=_JS} B_2j/(2j(2j-1)
+    (n+a)^(2j-1)) as a series in u = 1/n, a >= 0.
 
     With d = 2j-1, (n+a)^-d = u^d (1+au)^-d = u^d sum_i C(d-1+i, i)
     (-au)^i; the terms of degree d+i <= J are coefficients.  For x = au
     >= 0 the Lagrange remainder of (1+x)^-d after degree J-d is at most
     C(J, d-1) x^(J-d+1), and a term of degree d > J is at most u^d."""
     a = Fraction(a)
-    c = [Fraction(0)] * (J + 1)
-    rho = Fraction(0)
-    for j in range(1, js + 1):
+    c = [_ZERO] * (J + 1)
+    rho = _ZERO
+    for j in range(1, _JS + 1):
         coef = _bern(2 * j) / (2 * j * (2 * j - 1))
         d = 2 * j - 1
         if d > J:
@@ -440,79 +375,50 @@ def _s_exact(a: Fraction, J: int, js: int = 8) -> tuple[list, Fraction]:
             c[d + i] += coef * (-a) ** i * math.comb(d - 1 + i, i)
         rho += abs(coef) * math.comb(J, d - 1) * a ** (J - d + 1)
     # enveloped Stirling remainder, first omitted term at (n+a) >= n
-    rem = abs(_bern(2 * js + 2)) / Fraction((2 * js + 2) * (2 * js + 1))
-    return c, rho + rem * U0 ** (2 * js + 1 - (J + 1))
-
-
-def _s_series(a: Fraction, prec: int, J: int, js: int = 8) -> USeries:
-    """S(n+a) as a u-series, each coefficient rounded once."""
-    c, rho = _s_exact(a, J, js)
-    return USeries(prec, J, c, _fr_up(rho))
+    rem = abs(_bern(2 * _JS + 2)) / Fraction((2 * _JS + 2) * (2 * _JS + 1))
+    return USeries(J, c, _fr_up(rho + rem * U0 ** (2 * _JS + 1 - (J + 1))))
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
-def _h_series(s: int, prec: int, J: int, kh: int = 7) -> USeries:
+def _h_series(s: int, J: int) -> USeries:
     """h_{sn} = H_{sn} - ln(sn) - gamma as a series in u = 1/n."""
-    ser = USeries(prec, J, [Fraction(0), Fraction(1, 2 * s)])
-    for k in range(1, kh + 1):
+    c = [_ZERO, Fraction(1, 2 * s)] + [_ZERO] * (J - 1)
+    rho = _ZERO
+    for k in range(1, _KH + 1):
         v = -_bern(2 * k) / Fraction(2 * k * s ** (2 * k))
         if 2 * k <= J:
-            ser.c[2 * k] = ser.c[2 * k] + Ball.from_fraction(v, prec)
+            c[2 * k] += v
         else:
-            ser.rho = _fr_up(ser.rho + abs(v) * U0 ** (2 * k - (J + 1)))
-    rem = abs(_bern(2 * kh + 2)) / Fraction((2 * kh + 2) * s ** (2 * kh + 2))
-    ser.rho = _fr_up(ser.rho + rem * U0 ** (2 * kh + 2 - (J + 1)))
-    return ser
+            rho = _fr_up(rho + abs(v) * U0 ** (2 * k - (J + 1)))
+    m = 2 * _KH + 2
+    rem = abs(_bern(m)) / Fraction(m * s ** m)
+    return USeries(J, c, _fr_up(rho + rem * U0 ** (m - (J + 1))))
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
-def _g_series(prec: int, J: int) -> USeries:
+def _g_series(J: int) -> USeries:
     """ln(b(n) sqrt(pi n)) as a u-series."""
-    return (_a_series(prec, J) + _const_ser(prec, J, Fraction(1, 2))
-            + _s_series(Fraction(1, 2), prec, J)
-            - _s_series(Fraction(1), prec, J))
+    return (_a_series(J) + USeries(J, [Fraction(1, 2)])
+            + _s_series(Fraction(1, 2), J) - _s_series(Fraction(1), J))
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
-def _exp_g(e: int, prec: int, J: int) -> USeries:
+def _exp_g(e: int, J: int) -> USeries:
     """(b(n) sqrt(pi n))^e = exp(e g) as a u-series."""
-    return exp_useries(_g_series(prec, J).scale_frac(Fraction(e)))
-
-
-def _add_times(acc, c: Fraction, x, times):
-    """acc + c x (acc None: the empty sum), exact for c = +-1."""
-    if c == 0:
-        return acc
-    if acc is None:
-        return x if c == 1 else -x if c == -1 else times(x, c)
-    return acc + x if c == 1 else acc - x if c == -1 else acc + times(x, c)
+    return exp_useries(_g_series(J).scale(e))
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
-def _d_part(kind: str, prec: int, J: int):
-    """Harmonic factor D(n) = alpha_L ln n + D0(u); returns (alpha_L, D0).
+def _d_part(kind: str, J: int) -> tuple[Fraction, Fraction, USeries]:
+    """Harmonic factor D(n) = alpha_L ln n + D0(u) + b ln 2 + alpha_L gamma;
+    returns (alpha_L, b, D0), all exact.
 
     With H_n = ln n + gamma + h_n, alpha_L = a + b and D0 = kappa +
-    (a + b) gamma + b ln 2 + b h_2n + a h_n + (c/2) u."""
+    b h_2n + a h_n + (c/2) u."""
     k = HARMONIC_KINDS[kind]
-    alpha_l = k.a + k.b
-    ln2 = constant(ConstantName.LN2, prec)
-    gamma = _euler_gamma_ball(prec)
-    h1 = _h_series(1, prec, J)
-    h2 = _h_series(2, prec, J)
-    def times(x, c):  # c x, an exact shift when c = 1/2^k
-        k2 = c.denominator.bit_length() - 1
-        return x.mul_2exp(-k2) if c == Fraction(1, 2 ** k2) else x * c
-    const = None
-    for c, x in ((k.kappa, Ball.from_int(1, prec)), (k.b, ln2),
-                 (alpha_l, gamma)):
-        const = _add_times(const, c, x, times)
-    d0 = _const_ser(prec, J, Ball.zero(prec) if const is None else const)
-    for c, h in ((k.b, h2), (k.a, h1)):
-        d0 = _add_times(d0, c, h, USeries.scale_frac)
-    if k.c:
-        d0 = d0 + USeries(prec, J, [Fraction(0), k.c / 2])
-    return alpha_l, d0
+    d0 = (USeries(J, [k.kappa, k.c / 2]) + _h_series(2, J).scale(k.b)
+          + _h_series(1, J).scale(k.a))
+    return k.a + k.b, k.b, d0
 
 
 # --------------------------------------------------------------------
@@ -539,14 +445,48 @@ class TermRecipe:
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
+def _expansion(P: tuple, Q: tuple, e: int, dkind: str, J: int):
+    """(alpha_L, b, T, R) of a recipe, exact: T = (P*/Q*)(u) exp(e g(u))
+    and R = T D0, with (alpha_L, b, D0) from :func:`_d_part`."""
+    t = rational_useries(P[::-1], Q[::-1], J)
+    if e:
+        t = t * _exp_g(e, J)
+    alpha_l, b, d0 = _d_part(dkind, J)
+    return alpha_l, b, t, t * d0
+
+
+class BallPoly(NamedTuple):
+    """sum_{j<=J} c[j] u^j with |f(u) - poly(u)| <= rho u^(J+1), each c[j]
+    a Ball, or None where the coefficient is exactly 0."""
+
+    c: tuple
+    rho: Fraction
+
+
+def _times(c: Fraction, x: Ball) -> Ball:
+    """c x, an exact shift when c = 1/2^k."""
+    k = c.denominator.bit_length() - 1
+    return x.mul_2exp(-k) if c == Fraction(1, 1 << k) else x * c
+
+
+@functools.lru_cache(maxsize=_PREC_CACHE)
 def build_poly(recipe: TermRecipe, prec: int, J: int = J_MAX):
     """(sigma0, W0, W1): t_n = sum_j (W0_j + W1_j ln n) n^(-sigma0-j) + rem,
-    the sum over j <= J and |rem| <= (W0.rho + W1.rho ln n) n^(-sigma0-J-1)."""
-    pstar = tuple(reversed(recipe.P))
-    qstar = tuple(reversed(recipe.Q))
-    t = rational_useries(pstar, qstar, prec, J)
+    the sum over j <= J and |rem| <= (W0.rho + W1.rho ln n) n^(-sigma0-J-1).
+
+    W0 = pi^(-e/2) (R + K T) and W1 = pi^(-e/2) alpha_L T, K = b ln 2 +
+    alpha_L gamma: each T_j and R_j is rounded once at ``prec``, and the
+    three constants are the only balls."""
+    alpha_l, b, t, r = _expansion(recipe.P, recipe.Q, recipe.e,
+                                  recipe.dkind, J)
+    k = None
+    if b:
+        k = _times(b, constant(ConstantName.LN2, prec))
+    if alpha_l:
+        g = _times(alpha_l, _euler_gamma_ball(prec))
+        k = g if k is None else k + g
+    pref = None
     if recipe.e:
-        x = _exp_g(recipe.e, prec, J)
         pi = constant(ConstantName.PI, prec)
         if recipe.e == 1:
             pref = 1 / pi.sqrt()
@@ -554,11 +494,25 @@ def build_poly(recipe: TermRecipe, prec: int, J: int = J_MAX):
             pref = 1 / pi
         else:
             pref = 1 / pi.sqrt().pow_int(recipe.e)
-        t = (t * x).scale_ball(pref)
-    alpha_l, d0 = _d_part(recipe.dkind, prec, J)
-    w1 = t.scale_frac(alpha_l)
-    w0 = t * d0
-    return recipe.sigma0, w0, w1
+
+    def times_pref(x: Ball | None) -> Ball | None:
+        return x if x is None or pref is None else x * pref
+
+    w0, w1 = [], []
+    for tj, rj in zip(t.c, r.c):
+        x = Ball.from_fraction(rj, prec) if rj else None
+        if k is not None and tj:
+            y = k * Ball.from_fraction(tj, prec)
+            x = y if x is None else x + y
+        w0.append(times_pref(x))
+        w1.append(times_pref(Ball.from_fraction(alpha_l * tj, prec))
+                  if alpha_l and tj else None)
+    rho0 = r.rho + (t.rho * _fr_abs_hi(k) if k is not None else 0)
+    rho1 = abs(alpha_l) * t.rho
+    if pref is not None:
+        rho0, rho1 = (v * _fr_abs_hi(pref) for v in (rho0, rho1))
+    return (recipe.sigma0, BallPoly(tuple(w0), _fr_up(rho0)),
+            BallPoly(tuple(w1), _fr_up(rho1)))
 
 
 # --------------------------------------------------------------------
@@ -761,12 +715,12 @@ def tail_enclosure(recipe: TermRecipe, N: int, prec: int,
     wp = prec + 30
     sigma0, w0, w1 = build_poly(recipe, wp, J)
     tot = Ball.zero(wp)
-    for j in range(J + 1):
+    for j, (x0, x1) in enumerate(zip(w0.c, w1.c)):
         s = sigma0 + j
-        if not _is_zero_ball(w0.c[j]):
-            tot = tot + w0.c[j] * z_em(s, a, wp)
-        if not _is_zero_ball(w1.c[j]):
-            tot = tot + w1.c[j] * zl_em(s, a, wp)
+        if x0 is not None:
+            tot = tot + x0 * z_em(s, a, wp)
+        if x1 is not None:
+            tot = tot + x1 * zl_em(s, a, wp)
     s_rem = sigma0 + J + 1
     rem = Fraction(0)
     if w0.rho:
