@@ -18,11 +18,11 @@ Pipeline, all error-tracked:
    remainder.  Each Stirling term c (n+a)^-d, d = 2j-1, expands as
    c (-a)^i C(d-1+i, i) u^(d+i); rho takes the Lagrange remainder
    c C(J, d-1) a^(J-d+1) of (1 + au)^-d, au >= 0, and c U0^(d-J-1) for a
-   term of degree d > J.
+   term of degree d > J.  It runs to js(J) = max(8, J//2 + 1) terms.
 2. Expand the harmonic factor via H_m = ln m + gamma + h_m with the
-   enveloped asymptotic series for h_m: D(n) = alpha_L ln n + D0(u) +
-   b ln 2 + alpha_L gamma, D0 = kappa + b h_2n + a h_n + (c/2) u, so each
-   term becomes
+   enveloped asymptotic series for h_m, to kh(J) = max(7, J//2 + 1)
+   terms: D(n) = alpha_L ln n + D0(u) + b ln 2 + alpha_L gamma, D0 =
+   kappa + b h_2n + a h_n + (c/2) u, so each term becomes
 
        t_n = sum_j (W0_j + W1_j ln n) n^(-sigma0-j)  +  graded remainder,
 
@@ -37,16 +37,18 @@ Pipeline, all error-tracked:
    R1 ln a + R0); each bracket is summed in integers over one
    denominator, rounded once and multiplied by at most one sqrt a ball.
 
-Every series up to T and R is an exact :class:`USeries`: rational
-coefficients up to degree J plus a rational rho with |f(u) - poly(u)| <=
-rho u^(J+1) on the validity window.  Sums, scalings and products are
-exact; a product folds its coefficients past degree J into rho as
-sum_{m>J} |c_m| U0^(m-J-1).  Only :func:`build_poly` rounds: each T_j and
-R_j once at the working precision, and it applies the three irrational
-factors, ln 2, gamma and pi^(-e/2), as balls there.  Valid for N >= 32
-(so a = N+1 >= 33).
+Every series up to T and R is an exact :class:`USeries`: integer
+numerators up to degree J over one positive denominator, plus a rational
+rho with |f(u) - poly(u)| <= rho u^(J+1) on the validity window.  Sums,
+scalings and products work on the integers; a product folds its
+coefficients past degree J into rho as sum_{m>J} |c_m| U0^(m-J-1), one
+integer Horner pass in base 33.  Only :func:`build_poly` rounds: each
+T_j and R_j once at the working precision, from its numerator and the
+denominator, and it applies the three irrational factors, ln 2, gamma
+and pi^(-e/2), as balls there.  Valid for N >= 32 (so a = N+1 >= 33).
 
-The degree is a parameter, 1 <= J <= J_MAX = 12, and the remainder of a
+The degree of a tail is a parameter, 1 <= J <= J_MAX = 12, and the
+remainder of a
 degree-J tail falls like N^-(sigma0+J).  :func:`plan` solves the cut N
 and the degree J from a tolerance, the way Johansson (Numer. Algorithms,
 2015) chooses N and M for the Hurwitz zeta function: the cheapest pair
@@ -100,14 +102,12 @@ from .ball_arith import (
 from .exact_core import SurdQ5
 from .intpoly import padd, peval, pscale, reduce_ratio
 
-# the largest series degree in u = 1/n, the one the tails are tested
-# at; _s_series and _h_series fold their enveloped remainders, at u^17
-# and u^16, into rho only while J + 1 <= 16, and whether U0 and the
-# cut N >= 32 still suit degrees past 12 is unchecked
+# the largest tail degree in u = 1/n, the one the tails are tested at;
+# the expansion certifies its rho at any degree, but whether U0 and the
+# cut N >= 32 still suit tails past degree 12 is unchecked
 J_MAX = 12
-_JS = 8                      # Stirling terms of _s_series
-_KH = 7                      # asymptotic terms of _h_series
-U0 = Fraction(1, 33)         # validity window 0 < u <= U0
+_U0_INV = 33
+U0 = Fraction(1, _U0_INV)    # validity window 0 < u <= U0
 _MIN_A = 33                  # tails valid for a = N+1 >= 33
 _ZERO = Fraction(0)
 
@@ -132,20 +132,44 @@ def _fr_abs_hi(b: Ball) -> Fraction:
     return Fraction(int(p), int(q))
 
 
-def _fr_up(x: Fraction, bits: int = 120) -> Fraction:
+_UP_BITS = 120
+
+
+def _up(p: int, q: int) -> Fraction:
+    """Round p/q >= 0, q > 0, up to a dyadic with a short mantissa; the
+    result depends on the value p/q only."""
+    if not p:
+        return _ZERO
+    return Fraction((p << _UP_BITS) // q + 1, 1 << _UP_BITS)
+
+
+def _fr_up(x: Fraction) -> Fraction:
     """Round a nonnegative rational up to a dyadic with a short mantissa."""
-    if x == 0:
-        return x
-    n = (x.numerator << bits) // x.denominator + 1
-    return Fraction(n, 1 << bits)
+    return _up(x.numerator, x.denominator)
 
 
-def _abs_at_u0(v) -> Fraction:
-    """sum_m |v[m]| U0^m, exact."""
-    acc = _ZERO
-    for x in reversed(v):
-        acc = acc * U0 + abs(x)
+def _fold(v) -> int:
+    """sum_m |v[m]| 33^(k-m), k = len(v) - 1: one integer Horner pass,
+    so that sum_m |v[m]| U0^m = _fold(v) / 33^k."""
+    acc = 0
+    for x in v:
+        acc = acc * _U0_INV + abs(x)
     return acc
+
+
+def _abs_at_u0(num, den: int) -> Fraction:
+    """sum_m |num[m]| U0^m / den, exact."""
+    return Fraction(_fold(num), den * _U0_INV ** max(len(num) - 1, 0))
+
+
+def _js(J: int) -> int:
+    """The Stirling terms of :func:`_s_series` at degree J."""
+    return max(8, J // 2 + 1)
+
+
+def _kh(J: int) -> int:
+    """The asymptotic terms of :func:`_h_series` at degree J."""
+    return max(7, J // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -195,62 +219,101 @@ HARMONIC_KINDS = {kind: HarmonicKind(*map(Fraction, kabc)) for kind, kabc in {
 
 class USeries:
     """f(u) = sum_{m<=J} c[m] u^m + r(u), |r(u)| <= rho u^(J+1) on (0, U0],
-    with exact rational coefficients c[0..J] and rho.
+    with c[m] = num[m]/den exact: integer numerators over one positive
+    denominator, in lowest terms, and rho an exact rational.
 
-    The degree J is len(c) - 1; the operators combine series of one
+    The degree J is len(num) - 1; the operators combine series of one
     degree only.
     """
 
-    __slots__ = ("c", "rho")
+    __slots__ = ("num", "den", "rho")
 
     def __init__(self, J: int, coeffs=(), rho: Fraction = _ZERO):
+        """The series of the rational coefficients ``coeffs``, padded
+        with zeros to degree J."""
         if len(coeffs) > J + 1:
             # a dropped coefficient would leave no trace in rho
             raise ValueError(f"{len(coeffs)} coefficients at degree {J}")
-        self.c = (tuple(map(Fraction, coeffs))
-                  + (_ZERO,) * (J + 1 - len(coeffs)))
+        coeffs = [Fraction(x) for x in coeffs]
+        den = math.lcm(*(x.denominator for x in coeffs))
+        self.num = (tuple(x.numerator * (den // x.denominator)
+                          for x in coeffs)
+                    + (0,) * (J + 1 - len(coeffs)))
+        self.den = den
         self.rho = Fraction(rho)
+
+    @classmethod
+    def _of(cls, num, den: int, rho: Fraction) -> "USeries":
+        """num/den + rho, den > 0, reduced to lowest terms."""
+        g = math.gcd(den, *num)
+        if g > 1:
+            num = [x // g for x in num]
+            den //= g
+        out = object.__new__(cls)
+        out.num, out.den, out.rho = tuple(num), den, rho
+        return out
 
     @property
     def J(self) -> int:
-        return len(self.c) - 1
+        return len(self.num) - 1
+
+    @property
+    def c(self) -> tuple:
+        """The coefficients as Fractions, a read-only view."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def bound(self) -> Fraction:
-        """An upper bound of |f| on (0, U0]."""
-        return _fr_up(_abs_at_u0(self.c) + self.rho * U0 ** (self.J + 1))
+        """An upper bound of |f| on (0, U0]: sum_m |c_m| U0^m + rho
+        U0^(J+1), over den 33^(J+1) q for rho = p/q."""
+        p, q = self.rho.numerator, self.rho.denominator
+        return _up(_fold(self.num) * _U0_INV * q + p * self.den,
+                   self.den * _U0_INV ** (self.J + 1) * q)
+
+    def _add(self, other: "USeries", sign: int) -> "USeries":
+        if other.J != self.J:
+            raise ValueError(f"degrees {self.J} and {other.J} differ")
+        g = math.gcd(self.den, other.den)
+        m1, m2 = other.den // g, sign * (self.den // g)
+        return USeries._of([a * m1 + b * m2
+                            for a, b in zip(self.num, other.num)],
+                           self.den * m1, _fr_up(self.rho + other.rho))
 
     def __add__(self, other: "USeries") -> "USeries":
-        return USeries(self.J, [a + b for a, b in
-                                zip(self.c, other.c, strict=True)],
-                       _fr_up(self.rho + other.rho))
+        return self._add(other, 1)
 
     def __sub__(self, other: "USeries") -> "USeries":
-        return USeries(self.J, [a - b for a, b in
-                                zip(self.c, other.c, strict=True)],
-                       _fr_up(self.rho + other.rho))
+        return self._add(other, -1)
 
     def scale(self, k: Fraction) -> "USeries":
         k = Fraction(k)
-        return USeries(self.J, [k * a for a in self.c],
-                       _fr_up(abs(k) * self.rho))
+        return USeries._of([k.numerator * a for a in self.num],
+                           k.denominator * self.den,
+                           _fr_up(abs(k) * self.rho))
 
     def __mul__(self, other: "USeries") -> "USeries":
         J = self.J
         if other.J != J:
             raise ValueError(f"degrees {J} and {other.J} differ")
-        conv = [_ZERO] * (2 * J + 1)
-        for i, a in enumerate(self.c):
-            if a:
-                for j2, b in enumerate(other.c):
-                    if b:
-                        conv[i + j2] += a * b
+        a, b = self.num, other.num
+        conv = [0] * (2 * J + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j2, y in enumerate(b):
+                    if y:
+                        conv[i + j2] += x * y
         # the degrees past J fold into rho exactly: on (0, U0],
-        # |sum_{m>J} c_m u^m| <= u^(J+1) sum_{m>J} |c_m| U0^(m-J-1)
-        rho = (_abs_at_u0(conv[J + 1:])
-               + _abs_at_u0(self.c) * other.rho
-               + _abs_at_u0(other.c) * self.rho
-               + self.rho * other.rho * U0 ** (J + 1))
-        return USeries(J, conv[:J + 1], _fr_up(rho))
+        # |sum_{m>J} c_m u^m| <= u^(J+1) sum_{m>J} |c_m| U0^(m-J-1);
+        # rho = high + |a| rho_b + |b| rho_a + rho_a rho_b U0^(J+1), each
+        # term over d_a d_b 33^(J+1) q_a q_b
+        d1, d2 = self.den, other.den
+        p1, q1 = self.rho.numerator, self.rho.denominator
+        p2, q2 = other.rho.numerator, other.rho.denominator
+        u2 = _U0_INV * _U0_INV
+        rho = (_fold(conv[J + 1:]) * u2 * q1 * q2
+               + _fold(a) * _U0_INV * p2 * d2 * q1
+               + _fold(b) * _U0_INV * p1 * d1 * q2 + p1 * p2 * d1 * d2)
+        return USeries._of(conv[:J + 1], d1 * d2,
+                           _up(rho, d1 * d2 * _U0_INV ** (J + 1) * q1 * q2))
 
 
 # --------------------------------------------------------------------
@@ -281,26 +344,36 @@ def _poly_abs_min(Q, lo: Fraction, hi: Fraction, depth: int = 0) -> Fraction:
 
 
 def rational_useries(P, Q, J: int) -> USeries:
-    """P*(u)/Q*(u) with exact rational synthetic division, Q*(0) != 0."""
-    P = [Fraction(x) for x in P]
-    Q = [Fraction(x) for x in Q]
-    c = [_ZERO] * (J + 1)
+    """P*(u)/Q*(u) by integer synthetic division, Q*(0) != 0.
+
+    With P and Q cleared to integers and q0 = Q*(0) > 0, c_m has a
+    denominator dividing q0^(m+1), so x_m = c_m q0^(J+1) is an integer:
+    q0 x_m = P_m q0^(J+1) - sum_{i>=1} Q_i x_(m-i).  The residual E =
+    P - Q c, past degree J, over min |Q*| bounds the remainder."""
+    fr = [Fraction(x) for x in (*P, *Q)]
+    L = math.lcm(*(x.denominator for x in fr))
+    if fr[len(P)] < 0:
+        L = -L
+    p = [int(x * L) for x in fr[:len(P)]]
+    q = [int(x * L) for x in fr[len(P):]]
+    den = q[0] ** (J + 1)
+
+    x = []
+
+    def residual(m):
+        """(P - Q c)_m q0^(J+1) without its i = 0 term, from x_(<m)."""
+        acc = p[m] * den if m < len(p) else 0
+        for i in range(max(1, m - J), min(m, len(q) - 1) + 1):
+            acc -= q[i] * x[m - i]
+        return acc
+
     for m in range(J + 1):
-        acc = P[m] if m < len(P) else _ZERO
-        for i in range(1, min(m, len(Q) - 1) + 1):
-            acc -= Q[i] * c[m - i]
-        c[m] = acc / Q[0]
-    # residual numerator E = P - Q * c, supported on degrees J+1 .. J+degQ
-    E = [_ZERO] * (J + len(Q))
-    for m, v in enumerate(P):
-        E[m] += v
-    for i, qv in enumerate(Q):
-        for m2, cv in enumerate(c):
-            E[i + m2] -= qv * cv
-    for m in range(J + 1):
-        assert E[m] == 0
-    qmin = _poly_abs_min(Q, _ZERO, U0)
-    return USeries(J, c, _fr_up(_abs_at_u0(E[J + 1:]) / qmin))
+        x.append(residual(m) // q[0])
+    high = [residual(m) for m in range(J + 1, max(J + len(q), len(p)))]
+    qmin = _poly_abs_min(q, _ZERO, U0)
+    rho = _up(_fold(high) * qmin.denominator,
+              den * _U0_INV ** max(len(high) - 1, 0) * qmin.numerator)
+    return USeries._of(x, den, rho)
 
 
 # --------------------------------------------------------------------
@@ -315,7 +388,7 @@ def _exp_hi(x: Fraction) -> Fraction:
 
 def exp_useries(f: USeries) -> USeries:
     """exp(f) for a series with f(0) = 0."""
-    if f.c[0]:
+    if f.num[0]:
         raise ValueError("exp_useries needs a series that vanishes at 0")
     J = f.J
     out = term = USeries(J, [1])
@@ -323,14 +396,14 @@ def exp_useries(f: USeries) -> USeries:
         term = term * f
         out = out + term.scale(Fraction(1, math.factorial(k)))
     # truncated powers P^(J+1)/((J+1)!) + ... <= qhat^(J+1) e^(qhat U0)/(J+1)!
-    qhat = _abs_at_u0(f.c[1:])
-    out = USeries(J, out.c, _fr_up(out.rho
-                                   + qhat ** (J + 1) * _exp_hi(qhat * U0)
-                                   / math.factorial(J + 1)))
+    qhat = _abs_at_u0(f.num[1:], f.den)
+    out = USeries._of(out.num, out.den,
+                      _fr_up(out.rho + qhat ** (J + 1) * _exp_hi(qhat * U0)
+                             / math.factorial(J + 1)))
     # exp(poly + r) = exp(poly) exp(r): |exp(r) - 1| <= |r| e^|r|
     d0 = f.rho * U0 ** (J + 1)
-    return USeries(J, out.c,
-                   _fr_up(out.rho + out.bound() * f.rho * _exp_hi(d0)))
+    return USeries._of(out.num, out.den,
+                       _fr_up(out.rho + out.bound() * f.rho * _exp_hi(d0)))
 
 
 # --------------------------------------------------------------------
@@ -355,44 +428,77 @@ def _a_series(J: int) -> USeries:
 
 
 def _s_series(a: Fraction, J: int) -> USeries:
-    """The Stirling correction S(n+a) = sum_{j<=_JS} B_2j/(2j(2j-1)
-    (n+a)^(2j-1)) as a series in u = 1/n, a >= 0.
+    """The Stirling correction S(n+a) = sum_{j<=js} B_2j/(2j(2j-1)
+    (n+a)^(2j-1)) as a series in u = 1/n, a >= 0, js = :func:`_js`.
 
     With d = 2j-1, (n+a)^-d = u^d (1+au)^-d = u^d sum_i C(d-1+i, i)
-    (-au)^i; the terms of degree d+i <= J are coefficients.  For x = au
-    >= 0 the Lagrange remainder of (1+x)^-d after degree J-d is at most
-    C(J, d-1) x^(J-d+1), and a term of degree d > J is at most u^d."""
+    (-au)^i; the terms of degree d+i <= J are coefficients, over one
+    denominator.  For x = au >= 0 the Lagrange remainder of (1+x)^-d
+    after degree J-d is at most C(J, d-1) x^(J-d+1), and a term of
+    degree d > J is at most u^d.
+
+    For real n + a > 0 the Stirling series envelops its remainder at
+    every order, so it is at most the first omitted term, at most
+    |B_(2js+2)|/((2js+2)(2js+1)) u^(2js+1).  That folds into rho as
+    U0^(2js+1-(J+1)), which bounds u^(2js+1-(J+1)) only while 2js+1 >=
+    J+1; js >= J//2 + 1 makes 2js+1 >= J+2 at every J."""
     a = Fraction(a)
-    c = [_ZERO] * (J + 1)
+    js = _js(J)
+    an, ad = a.numerator, a.denominator
+    coefs = []                        # (d, numerator, denominator)
+    for j in range(1, js + 1):
+        b = _bern(2 * j)
+        coefs.append((2 * j - 1, b.numerator,
+                      b.denominator * 2 * j * (2 * j - 1)))
+    L = math.lcm(*(cd for d, _, cd in coefs if d <= J))
+    num = [0] * (J + 1)
     rho = _ZERO
-    for j in range(1, _JS + 1):
-        coef = _bern(2 * j) / (2 * j * (2 * j - 1))
-        d = 2 * j - 1
+    for d, cn, cd in coefs:
+        coef = Fraction(abs(cn), cd)
         if d > J:
-            rho += abs(coef) * U0 ** (d - J - 1)
+            rho += coef * U0 ** (d - J - 1)
             continue
+        w = cn * (L // cd)
         for i in range(J - d + 1):
-            c[d + i] += coef * (-a) ** i * math.comb(d - 1 + i, i)
-        rho += abs(coef) * math.comb(J, d - 1) * a ** (J - d + 1)
-    # enveloped Stirling remainder, first omitted term at (n+a) >= n
-    rem = abs(_bern(2 * _JS + 2)) / Fraction((2 * _JS + 2) * (2 * _JS + 1))
-    return USeries(J, c, _fr_up(rho + rem * U0 ** (2 * _JS + 1 - (J + 1))))
+            num[d + i] += (w * (-an) ** i * ad ** (J - 1 - i)
+                           * math.comb(d - 1 + i, i))
+        rho += coef * math.comb(J, d - 1) * a ** (J - d + 1)
+    b = _bern(2 * js + 2)
+    rem = Fraction(abs(b.numerator),
+                   b.denominator * (2 * js + 2) * (2 * js + 1))
+    return USeries._of(num, L * ad ** (J - 1),
+                       _fr_up(rho + rem * U0 ** (2 * js + 1 - (J + 1))))
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
 def _h_series(s: int, J: int) -> USeries:
-    """h_{sn} = H_{sn} - ln(sn) - gamma as a series in u = 1/n."""
-    c = [_ZERO, Fraction(1, 2 * s)] + [_ZERO] * (J - 1)
+    """h_{sn} = H_{sn} - ln(sn) - gamma as a series in u = 1/n, from
+    h_x = 1/(2x) - sum_{k<=kh} B_2k/(2k x^2k) + remainder, kh = :func:`_kh`.
+
+    For real x > 0 the series envelops its remainder at every order, so
+    it is at most |B_(2kh+2)|/((2kh+2) x^(2kh+2)).  That folds into rho
+    as U0^(2kh+2-(J+1)), which bounds u^(2kh+2-(J+1)) only while 2kh+2
+    >= J+1; kh >= J//2 + 1 makes 2kh+2 >= J+3 at every J."""
+    kh = _kh(J)
+    terms = []                        # (2k, numerator, denominator)
+    for k in range(1, kh + 1):
+        b = _bern(2 * k)
+        terms.append((2 * k, -b.numerator,
+                      b.denominator * 2 * k * s ** (2 * k)))
+    den = math.lcm(2 * s, *(vd for m, _, vd in terms if m <= J))
+    num = [0] * (J + 1)
+    num[1] = den // (2 * s)
     rho = _ZERO
-    for k in range(1, _KH + 1):
-        v = -_bern(2 * k) / Fraction(2 * k * s ** (2 * k))
-        if 2 * k <= J:
-            c[2 * k] += v
+    for m, vn, vd in terms:
+        if m <= J:
+            num[m] += vn * (den // vd)
         else:
-            rho = _fr_up(rho + abs(v) * U0 ** (2 * k - (J + 1)))
-    m = 2 * _KH + 2
-    rem = abs(_bern(m)) / Fraction(m * s ** m)
-    return USeries(J, c, _fr_up(rho + rem * U0 ** (m - (J + 1))))
+            rho = _fr_up(rho + Fraction(abs(vn), vd)
+                         * U0 ** (m - (J + 1)))
+    m = 2 * kh + 2
+    b = _bern(m)
+    rem = Fraction(abs(b.numerator), b.denominator * m * s ** m)
+    return USeries._of(num, den, _fr_up(rho + rem * U0 ** (m - (J + 1))))
 
 
 @functools.lru_cache(maxsize=_PREC_CACHE)
@@ -475,8 +581,9 @@ def build_poly(recipe: TermRecipe, prec: int, J: int = J_MAX):
     the sum over j <= J and |rem| <= (W0.rho + W1.rho ln n) n^(-sigma0-J-1).
 
     W0 = pi^(-e/2) (R + K T) and W1 = pi^(-e/2) alpha_L T, K = b ln 2 +
-    alpha_L gamma: each T_j and R_j is rounded once at ``prec``, and the
-    three constants are the only balls."""
+    alpha_L gamma: each T_j and R_j is rounded once at ``prec``, from its
+    integer numerator and the series' denominator, and the three
+    constants are the only balls."""
     alpha_l, b, t, r = _expansion(recipe.P, recipe.Q, recipe.e,
                                   recipe.dkind, J)
     k = None
@@ -498,15 +605,16 @@ def build_poly(recipe: TermRecipe, prec: int, J: int = J_MAX):
     def times_pref(x: Ball | None) -> Ball | None:
         return x if x is None or pref is None else x * pref
 
+    an, ad = alpha_l.numerator, alpha_l.denominator * t.den
     w0, w1 = [], []
-    for tj, rj in zip(t.c, r.c):
-        x = Ball.from_fraction(rj, prec) if rj else None
+    for tj, rj in zip(t.num, r.num):
+        x = Ball.from_ratio(rj, r.den, prec) if rj else None
         if k is not None and tj:
-            y = k * Ball.from_fraction(tj, prec)
+            y = k * Ball.from_ratio(tj, t.den, prec)
             x = y if x is None else x + y
         w0.append(times_pref(x))
-        w1.append(times_pref(Ball.from_fraction(alpha_l * tj, prec))
-                  if alpha_l and tj else None)
+        w1.append(times_pref(Ball.from_ratio(an * tj, ad, prec))
+                  if an and tj else None)
     rho0 = r.rho + (t.rho * _fr_abs_hi(k) if k is not None else 0)
     rho1 = abs(alpha_l) * t.rho
     if pref is not None:

@@ -140,8 +140,14 @@ class Ball:
     @staticmethod
     def from_fraction(q, prec: int) -> "Ball":
         q = Fraction(q)
-        lo = from_rational(q.numerator, q.denominator, prec, round_floor)
-        hi = from_rational(q.numerator, q.denominator, prec, round_ceiling)
+        return Ball.from_ratio(q.numerator, q.denominator, prec)
+
+    @staticmethod
+    def from_ratio(p: int, q: int, prec: int) -> "Ball":
+        """p/q for integers p and q > 0, in any terms: each end is
+        rounded from the exact quotient."""
+        lo = from_rational(p, q, prec, round_floor)
+        hi = from_rational(p, q, prec, round_ceiling)
         return Ball._from_endpoint_tuples(lo, hi, prec)
 
     @staticmethod

@@ -12,6 +12,7 @@ from binomharm.ball_arith import Ball, ConstantName, constant
 from binomharm.exact_core import central_binomial, harmonic
 from binomharm.series_engine import HARMONIC_KINDS, AsymptoticTail, d_value
 
+import _useries_oracle as oracle
 from _frozen import RHS_REFS, Z_REFS, ZL_REFS, assert_contains
 
 PREC = 160
@@ -570,7 +571,7 @@ def _inverse_power(a, d, k):
 @pytest.mark.parametrize("a", _S_SHIFTS)
 def test_s_series_coefficients_are_exact(a, J):
     want = [Fraction(0)] * (J + 1)
-    for j in range(1, _emtail._JS + 1):
+    for j in range(1, _emtail._js(J) + 1):
         d = 2 * j - 1
         if d > J:
             continue
@@ -588,6 +589,48 @@ def test_s_series_against_log_gamma(a, J):
         _assert_remainder(_emtail._s_series(a, J),
                           lambda n: _stirling(n + _mp(a)), f"S(n+{a})",
                           slack=_S_SLACK.get((a, J), 50))
+
+
+# ----------------------------------------------------------------------
+# degrees past J_MAX
+#
+# The Stirling and harmonic orders grow with J, js(J) = max(8, J//2 + 1)
+# and kh(J) = max(7, J//2 + 1), so each enveloped remainder sits at
+# u^(J+2) or beyond and folds into rho at every degree.  Each series is
+# checked at J = 16, 24 and 40 against mpmath at 150 digits (at 120,
+# digamma(2n + 1) - ln(2n) at n = 1000 is off by 1.4e-121, more than the
+# true remainder of h_2n at J = 40, 4.6e-123).  At n = 33, rho u^(J+1)
+# over the true remainder measures 11.7x to 12.1x for S(n + 1/2), 237x
+# to 279x for S(n + 1), where the Lagrange terms C(J, d-1) a^(J-d+1)
+# dominate, and 1.004x to 1.09x for h_n and h_2n.
+
+_LARGE_DEGREES = (16, 24, 40)
+
+
+def test_orders_put_the_remainders_past_degree_j():
+    assert (_emtail._js(12), _emtail._kh(12)) == (8, 7)
+    for J in range(1, 400):
+        assert 2 * _emtail._js(J) + 1 >= J + 2
+        assert 2 * _emtail._kh(J) + 2 >= J + 3
+
+
+@pytest.mark.parametrize("J", _LARGE_DEGREES)
+@pytest.mark.parametrize("a", _S_SHIFTS)
+def test_s_series_at_large_degrees(a, J):
+    with mpmath.workdps(150):
+        _assert_remainder(_emtail._s_series(a, J),
+                          lambda n: _stirling(n + _mp(a)), f"S(n+{a})",
+                          slack=15 if a == Fraction(1, 2) else 300)
+
+
+@pytest.mark.parametrize("J", _LARGE_DEGREES)
+@pytest.mark.parametrize("s", (1, 2))
+def test_h_series_at_large_degrees(s, J):
+    with mpmath.workdps(150):
+        _assert_remainder(
+            _emtail._h_series(s, J),
+            lambda n: mpmath.digamma(s * n + 1) - mpmath.log(s * n),
+            f"h_{s}n", slack=1.2)
 
 
 # ----------------------------------------------------------------------
@@ -609,3 +652,75 @@ def test_useries_product_folds_the_high_degrees(J):
     high = sum(abs(conv[m]) * _emtail.U0 ** (m - J - 1)
                for m in range(J + 1, 2 * J + 1))
     assert high <= prod.rho <= high + Fraction(1, 2 ** 110)
+
+
+# ----------------------------------------------------------------------
+# the integer algebra against the Fraction oracle
+#
+# USeries keeps integer numerators over one denominator; the oracle in
+# _useries_oracle.py keeps the Fraction algebra that came before it,
+# one reduced Fraction per coefficient and every rho rounded term by
+# term.  Each builder must give the oracle's coefficients and rho
+# exactly, at every degree J = 1..12, so no tail can move.
+
+
+def _same(got, want, what):
+    assert got.den > 0 and math.gcd(got.den, *got.num) == 1, what
+    assert got.c == want.c, f"{what}: coefficients"
+    assert got.rho == want.rho, f"{what}: rho"
+
+
+def _pair(J, coeffs, rho):
+    return _emtail.USeries(J, coeffs, rho), oracle.FracSeries(J, coeffs, rho)
+
+
+@pytest.mark.parametrize("J", _S_DEGREES)
+def test_useries_algebra_equals_fraction_oracle(J):
+    # coefficients over many distinct denominators, some cancelling
+    a, a_o = _pair(J, [Fraction((-1) ** m * (m + 2), 3 ** m + 1)
+                       for m in range(J + 1)], Fraction(7, 3))
+    b, b_o = _pair(J, [Fraction(0)] + [Fraction(m + 1, 10 * m + 4)
+                                       for m in range(1, J + 1)],
+                   Fraction(1, 3 ** 40))
+    _same(a + b, a_o + b_o, "a + b")
+    _same(b + a, b_o + a_o, "b + a")
+    _same(a - b, a_o - b_o, "a - b")
+    _same(a - a, a_o - a_o, "a - a")
+    _same(a.scale(Fraction(-5, 6)), a_o.scale(Fraction(-5, 6)), "scale")
+    _same(a * b, a_o * b_o, "a b")
+    _same(b * b, b_o * b_o, "b b")
+    assert a.bound() == a_o.bound()
+    _same(_emtail.exp_useries(b), oracle.exp_useries(b_o), "exp b")
+
+
+@pytest.mark.parametrize("J", _S_DEGREES)
+def test_rational_useries_equals_fraction_oracle(J):
+    for P, Q in _PQ:
+        _same(_emtail.rational_useries(P[::-1], Q[::-1], J),
+              oracle.rational_useries(P[::-1], Q[::-1], J), f"{P}/{Q}")
+
+
+@pytest.mark.parametrize("J", _S_DEGREES)
+def test_series_builders_equal_fraction_oracle(J):
+    _same(_emtail._a_series(J), oracle.a_series(J), "a")
+    for a in _S_SHIFTS:
+        _same(_emtail._s_series(a, J), oracle.s_series(a, J), f"S(n+{a})")
+    for s in (1, 2):
+        _same(_emtail._h_series(s, J), oracle.h_series(s, J), f"h_{s}n")
+    _same(_emtail._g_series(J), oracle.g_series(J), "g")
+    for e in (1, 2, 3):
+        _same(_emtail._exp_g(e, J), oracle.exp_g(e, J), f"exp({e} g)")
+    for kind in sorted(HARMONIC_KINDS):
+        got, want = _emtail._d_part(kind, J), oracle.d_part(kind, J)
+        assert got[:2] == want[:2], kind
+        _same(got[2], want[2], f"D0 of {kind}")
+
+
+@pytest.mark.parametrize("J", _S_DEGREES)
+def test_expansions_equal_fraction_oracle(J):
+    for key, r in sorted(registry._RECIPES.items()):
+        got = _emtail._expansion(r.P, r.Q, r.e, r.dkind, J)
+        want = oracle.expansion(r.P, r.Q, r.e, r.dkind, J)
+        assert got[:2] == want[:2], key
+        _same(got[2], want[2], f"T of {key}")
+        _same(got[3], want[3], f"R of {key}")
